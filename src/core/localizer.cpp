@@ -47,6 +47,8 @@ void Localizer::localize_into(LocalizationResult& out, const LocalizationInput& 
   out.dropped_links = ws.topo.dropped_links;
   out.outliers_suspected = ws.topo.outliers_suspected;
   out.solver_iterations = ws.topo.iterations;
+  out.candidate_solves = ws.topo.candidate_solves;
+  out.candidates_pruned = ws.topo.candidates_pruned;
   out.flipped = flipped;
   out.flip_vote_margin = static_cast<int>(std::abs(score_original - score_flipped));
 

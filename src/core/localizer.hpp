@@ -41,6 +41,10 @@ struct LocalizationResult {
   // SMACOF iterations spent across the base solve and every outlier-search
   // candidate (OutlierResult::iterations): deterministic solver cost.
   std::int64_t solver_iterations = 0;
+  // Algorithm 1 candidates solved and skipped by the stress bound
+  // (OutlierResult::candidate_solves / candidates_pruned).
+  std::int64_t candidate_solves = 0;
+  std::int64_t candidates_pruned = 0;
 };
 
 struct LocalizerOptions {

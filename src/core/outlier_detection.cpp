@@ -26,6 +26,59 @@ bool advance_subset(std::vector<std::size_t>& idx, std::size_t n) {
 
 }  // namespace
 
+void TriangleStressBound::reset(const Matrix& dist, const Matrix& weights,
+                                const std::vector<Edge>& links) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t n = dist.rows();
+  num_links_ = links.size();
+  link_id_.assign(n * n, kNone);
+  for (std::size_t li = 0; li < links.size(); ++li)
+    link_id_[links[li].first * n + links[li].second] = li;
+  triangles_.clear();
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const std::size_t ab = link_id_[a * n + b];
+      if (ab == kNone) continue;
+      for (std::size_t c = b + 1; c < n; ++c) {
+        const std::size_t ac = link_id_[a * n + c];
+        const std::size_t bc = link_id_[b * n + c];
+        if (ac == kNone || bc == kNone) continue;
+        const double dab = dist(a, b), dac = dist(a, c), dbc = dist(b, c);
+        const double v = std::max({dab - dac - dbc, dac - dab - dbc, dbc - dab - dac});
+        const double contribution =
+            v * v / (1.0 / weights(a, b) + 1.0 / weights(a, c) + 1.0 / weights(b, c));
+        // NaN compares false and an Inf side gives an Inf or NaN
+        // contribution: either way the triangle contributes nothing.
+        if (!(v > 0.0) || !std::isfinite(contribution) || !(contribution > 0.0))
+          continue;
+        triangles_.push_back({contribution, {ab, ac, bc}});
+      }
+    }
+  // Largest first, ties in enumeration order (link ids break them uniquely).
+  std::sort(triangles_.begin(), triangles_.end(),
+            [](const Triangle& x, const Triangle& y) {
+              if (x.contribution != y.contribution)
+                return x.contribution > y.contribution;
+              return std::lexicographical_compare(x.link, x.link + 3, y.link,
+                                                  y.link + 3);
+            });
+}
+
+double TriangleStressBound::bound(std::span<const std::size_t> dropped) {
+  if (triangles_.empty() || dropped.size() >= num_links_) return 0.0;
+  used_.assign(num_links_, 0);
+  for (std::size_t li : dropped) used_[li] = 1;
+  double raw = 0.0;
+  for (const Triangle& t : triangles_) {
+    if (used_[t.link[0]] || used_[t.link[1]] || used_[t.link[2]]) continue;
+    used_[t.link[0]] = used_[t.link[1]] = used_[t.link[2]] = 1;
+    raw += t.contribution;
+  }
+  // Finite positive terms: the sum is finite or +Inf, never NaN.
+  const double remaining = static_cast<double>(num_links_ - dropped.size());
+  return std::sqrt(raw * (1.0 - 1e-9) / remaining);
+}
+
 std::vector<std::vector<std::size_t>> subsets_of_size(std::size_t n, std::size_t k) {
   std::vector<std::vector<std::size_t>> out;
   if (k > n) return out;
@@ -78,10 +131,21 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
   out.positions.assign(base.positions.begin(), base.positions.end());
   out.normalized_stress = base.normalized_stress;
   out.iterations = base.iterations;
+  out.candidate_solves = 0;
+  out.candidates_pruned = 0;
   if (base.normalized_stress < opts.stress_threshold) return;
 
   out.outliers_suspected = true;
   double e0 = base.normalized_stress;
+  ws.bound.reset(dist, weights, links);
+  // A candidate whose stress bound already fails the acceptance test cannot
+  // be accepted, whatever its solve would return (see the header). The test
+  // does not depend on the other candidates, so the serial and parallel
+  // searches skip the same ones.
+  const auto hopeless = [&](const std::vector<std::size_t>& subset) {
+    const double lb = ws.bound.bound(subset);
+    return !(e0 - lb > opts.drop_ratio * e0);
+  };
   std::vector<Vec2>& p0 = ws.p0;
   p0.assign(base.positions.begin(), base.positions.end());
   std::vector<std::size_t>& dropped_so_far = ws.dropped_so_far;  // links[] indices
@@ -138,14 +202,20 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
     std::vector<std::size_t>& subset = ws.subset;
 
     if (search_threads > 1) {
-      // Materialize this level's candidate subsets (link indices, flattened
-      // k at a time, in enumeration order).
+      // Materialize this level's candidate subsets that the bound does not
+      // rule out (link indices, flattened k at a time, in enumeration order).
       std::vector<std::size_t>& flat = ws.flat_subsets;
       flat.clear();
       bool more = true;
       while (more) {
-        for (std::size_t i = 0; i < k; ++i) flat.push_back(pool[slots[i]]);
+        subset.resize(k);
+        for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
         more = advance_subset(slots, pool.size());
+        if (hopeless(subset)) {
+          ++out.candidates_pruned;
+          continue;
+        }
+        flat.insert(flat.end(), subset.begin(), subset.end());
       }
       const std::size_t m = flat.size() / k;
       ws.cand_stress.resize(m);
@@ -168,6 +238,7 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
       });
       // Integer sum in enumeration order: thread-count invariant.
       for (std::size_t ci = 0; ci < m; ++ci) out.iterations += ws.cand_iters[ci];
+      out.candidate_solves += static_cast<std::int64_t>(m);
       // Serial reduction in enumeration order, replicating the serial
       // accept logic (including when realizability gets checked).
       std::size_t best_ci = std::numeric_limits<std::size_t>::max();
@@ -190,14 +261,14 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
                       flat.begin() + static_cast<std::ptrdiff_t>((best_ci + 1) * k));
         best_subset = subset;
         // Re-solve the winner to recover its layout; the warm solve is
-        // deterministic, so this reproduces the lane's result exactly.
+        // deterministic, so this reproduces the lane's result exactly (and
+        // its iterations are already counted).
         w = weights;
         for (std::size_t li : subset) {
           w(links[li].first, links[li].second) = 0.0;
           w(links[li].second, links[li].first) = 0.0;
         }
         smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
-        out.iterations += cand.iterations;
         p_min.assign(cand.positions.begin(), cand.positions.end());
       }
     } else {
@@ -206,6 +277,10 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
         subset.resize(k);
         for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
         more = advance_subset(slots, pool.size());
+        if (hopeless(subset)) {
+          ++out.candidates_pruned;
+          continue;
+        }
 
         // Build the candidate weight matrix with this subset removed.
         w = weights;
@@ -222,6 +297,7 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
         }
         smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
         out.iterations += cand.iterations;
+        ++out.candidate_solves;
         const bool significant = e0 - cand.normalized_stress > opts.drop_ratio * e0;
         if (significant && cand.normalized_stress < e_min) {
           // Only accept when the remaining graph is still uniquely

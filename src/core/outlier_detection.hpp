@@ -7,10 +7,25 @@
 // deferred to candidates that actually improve); subsets that would leave
 // the graph not uniquely realizable are never accepted, and at most
 // `max_outliers` links are dropped.
+//
+// Hopeless candidates are skipped without a solve. Every 2D layout obeys the
+// triangle inequality, so a triangle of present links whose measured sides
+// violate it by v > 0 (longest side minus the other two) forces residuals
+// r_a - r_b - r_c >= v on its links, and by Cauchy-Schwarz a raw stress of
+// at least v^2 / (1/w_a + 1/w_b + 1/w_c). Triangles that share no link add
+// up, so greedily packing link-disjoint violated triangles that avoid a
+// candidate's dropped links gives a lower bound LB_S on the raw stress of
+// *any* layout of that candidate, and lb = sqrt(LB_S (1 - 1e-9) / #links) on
+// its normalized stress (the 1e-9 absorbs rounding in the computed stress).
+// SMACOF reports the stress of a real layout, so its result is >= lb; a
+// candidate with !(E0 - lb > drop_ratio * E0) can never pass the acceptance
+// test and is not solved. Positions, stress, dropped links and every digest
+// are bit-identical to the exhaustive search; only the solve count drops.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,8 +76,40 @@ struct OutlierResult {
   // Total SMACOF iterations spent on this round (base solve + every
   // candidate solve). A pure function of the inputs — the parallel pruned
   // search sums per-candidate counts in enumeration order — so it is part
-  // of the deterministic telemetry plane, not a timing.
+  // of the deterministic telemetry plane, not a timing. Equal at any
+  // search_threads: the parallel path's re-solve of its winner repeats a
+  // counted solve and is not counted again.
   std::int64_t iterations = 0;
+  // Candidate subsets solved with SMACOF, and candidates skipped because the
+  // triangle stress bound proves they cannot be accepted. Both are pure
+  // functions of the inputs, equal at any search_threads.
+  std::int64_t candidate_solves = 0;
+  std::int64_t candidates_pruned = 0;
+};
+
+// The triangle-inequality stress bound (see the top of this file) for one
+// round's link set. reset() lists the violated triangles once; bound() then
+// answers per candidate subset in O(#triangles).
+class TriangleStressBound {
+ public:
+  // `links` is the i < j, weights(i, j) > 0 link set of `weights`. A triangle
+  // counts only when all three links are present and its sides, weights and
+  // contribution are finite, so a NaN or Inf side contributes nothing.
+  void reset(const Matrix& dist, const Matrix& weights, const std::vector<Edge>& links);
+  // Lower bound on SMACOF's normalized stress with links[dropped[i]] removed
+  // (`dropped` holds distinct indices into `links`). Never NaN; 0 when no
+  // violated triangle survives the drop.
+  double bound(std::span<const std::size_t> dropped);
+
+ private:
+  struct Triangle {
+    double contribution;  // v^2 / (1/w_a + 1/w_b + 1/w_c)
+    std::size_t link[3];
+  };
+  std::vector<Triangle> triangles_;  // by contribution, descending
+  std::vector<std::size_t> link_id_;  // n x n -> index into links
+  std::vector<unsigned char> used_;
+  std::size_t num_links_ = 0;
 };
 
 // Algorithm 1: localize with outlier detection. `dist` is the projected 2D
@@ -86,6 +133,7 @@ struct OutlierWorkspace {
   std::vector<double> residual;
   std::vector<Vec2> p0, p_min;
   Matrix w;  // candidate weight matrix
+  TriangleStressBound bound;
 
   // Parallel pruned-search state (used when search_threads != 1): one lane
   // of scratch per pool worker, a flattened subset list, and the per-

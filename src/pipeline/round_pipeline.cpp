@@ -224,6 +224,8 @@ const RoundOutput& RoundPipeline::finish_round() {
       tel->count(telemetry::Counter::kLocalized);
       tel->count(telemetry::Counter::kSolverIterations,
                  static_cast<std::uint64_t>(out_.localization.solver_iterations));
+      tel->count(telemetry::Counter::kOutlierCandidatesPruned,
+                 static_cast<std::uint64_t>(out_.localization.candidates_pruned));
     } else {
       tel->count(telemetry::Counter::kLocalizeFailures);
     }

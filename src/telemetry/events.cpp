@@ -16,6 +16,8 @@ const char* to_string(Counter c) {
       return "admits";
     case Counter::kSolverIterations:
       return "solver_iterations";
+    case Counter::kOutlierCandidatesPruned:
+      return "outlier_candidates_pruned";
     case Counter::kArenaLeases:
       return "arena_leases";
     case Counter::kIngestAdmitted:

@@ -29,23 +29,24 @@ namespace uwp::telemetry {
 
 // Deterministic occurrence counters (the "counters" JSON section).
 enum class Counter : std::uint8_t {
-  kRounds = 0,         // measurement rounds executed by a pipeline
-  kLocalized,          // rounds that produced a localization fix
-  kCoasts,             // tracker coasts (dropouts + shed rounds)
-  kEvicts,             // session evictions (lifetime end / kBye)
-  kAdmits,             // session admissions (arena lease at admit tick)
-  kSolverIterations,   // SMACOF iterations across all candidate solves
-  kArenaLeases,        // ShardArena::lease calls (admissions, all shards)
-  kIngestAdmitted,     // shaper verdicts: measurement frames dispatched
-  kIngestShed,         // shaper verdicts: measurement frames shed to coast
-  kIngestDeferred,     // shaper verdicts: individual defer attempts
-  kWarmStartHits,      // localize stages seeded from predicted geometry
-  kWarmStartMisses,    // localize stages cold-seeded (admit/rebind/coast gap)
-  kLocalizeFailures,   // rounds whose localize stage produced no fix
-  kAdmitDevices,       // devices admitted (group size summed at admit)
-  kEvictDevices,       // devices evicted (group size summed at evict)
-  kControlWindows,     // control-plane windows observed by the policy engine
-  kControlActions,     // control actions emitted (ControlLog entries)
+  kRounds = 0,               // measurement rounds executed by a pipeline
+  kLocalized,                // rounds that produced a localization fix
+  kCoasts,                   // tracker coasts (dropouts + shed rounds)
+  kEvicts,                   // session evictions (lifetime end / kBye)
+  kAdmits,                   // session admissions (arena lease at admit tick)
+  kSolverIterations,         // SMACOF iterations of the solves run (base + candidates)
+  kOutlierCandidatesPruned,  // Algorithm 1 candidates skipped by the stress bound
+  kArenaLeases,              // ShardArena::lease calls (admissions, all shards)
+  kIngestAdmitted,           // shaper verdicts: measurement frames dispatched
+  kIngestShed,               // shaper verdicts: measurement frames shed to coast
+  kIngestDeferred,           // shaper verdicts: individual defer attempts
+  kWarmStartHits,            // localize stages seeded from predicted geometry
+  kWarmStartMisses,          // localize stages cold-seeded (admit/rebind/coast gap)
+  kLocalizeFailures,         // rounds whose localize stage produced no fix
+  kAdmitDevices,             // devices admitted (group size summed at admit)
+  kEvictDevices,             // devices evicted (group size summed at evict)
+  kControlWindows,           // control-plane windows observed by the policy engine
+  kControlActions,           // control actions emitted (ControlLog entries)
   kCount_,
 };
 inline constexpr std::size_t kCounterCount =

@@ -18,11 +18,15 @@ Histogram::Histogram(double min_value, int buckets_per_octave,
 
 std::size_t Histogram::bucket_index(double v) const {
   if (!(v > min_)) return 0;
+  const double ratio = v / min_;
+  // +Inf, or a ratio that overflows, would reach log2(inf) and an
+  // out-of-range cast below: it belongs in the top bucket.
+  if (!std::isfinite(ratio)) return counts_.size() - 1;
   // v / min = m * 2^e with m in [0.5, 1), so log2(v/min) = (e - 1) + f with
   // f = log2(2m) in [0, 1). frexp keeps octave boundaries exact: v = min*2^k
   // gives m = 0.5 exactly, f = 0, index k * P.
   int e = 0;
-  const double m = std::frexp(v / min_, &e);
+  const double m = std::frexp(ratio, &e);
   const double f = std::log2(2.0 * m);
   long idx = static_cast<long>(e - 1) * per_octave_ +
              static_cast<long>(f * double(per_octave_));

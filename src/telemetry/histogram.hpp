@@ -39,6 +39,8 @@ class Histogram {
   double max_seen() const { return count_ == 0 ? 0.0 : max_seen_; }
 
   // Bucket geometry (exposed for the edge tests and the merge check).
+  // bucket_index is total: NaN and values <= min_value map to bucket 0, +Inf
+  // and values past the top edge to the last bucket.
   std::size_t bucket_index(double v) const;
   double bucket_lower_edge(std::size_t b) const;
   std::size_t buckets() const { return counts_.size(); }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/ambiguity.hpp"
 #include "core/outlier_detection.hpp"
@@ -107,6 +108,126 @@ TEST(OutlierDetection, MaxOutlierBudgetRespected) {
   const OutlierResult res = localize_with_outlier_detection(d, Matrix::ones(6, 6),
                                                             opts, rng);
   EXPECT_LE(res.dropped_links.size(), 3u);
+}
+
+std::vector<Edge> links_of(const Matrix& w) {
+  std::vector<Edge> links;
+  for (std::size_t i = 0; i < w.rows(); ++i)
+    for (std::size_t j = i + 1; j < w.rows(); ++j)
+      if (w(i, j) > 0.0) links.emplace_back(i, j);
+  return links;
+}
+
+// The bound is a proven lower bound on what a candidate solve can reach: for
+// random noisy layouts with injected long (occluded) links, no subset's bound
+// exceeds the normalized stress of the warm-started solve the search runs.
+TEST(TriangleStressBound, NeverExceedsWarmStartedCandidateStress) {
+  uwp::Rng rng(41);
+  std::size_t checked = 0, binding = 0;
+  for (std::size_t n = 4; n <= 8; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<Vec2> truth(n);
+      for (Vec2& p : truth) p = {rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0)};
+      Matrix d = distance_matrix(truth);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j)
+          d(i, j) = d(j, i) = d(i, j) + rng.normal(0.0, 0.5);
+      const Matrix w = Matrix::ones(n, n);
+      const std::vector<Edge> links = links_of(w);
+      const int long_links = 1 + static_cast<int>(rng.uniform(0.0, 4.0));
+      for (int l = 0; l < long_links; ++l) {
+        const auto [a, b] =
+            links[static_cast<std::size_t>(rng.uniform(0.0, double(links.size())))];
+        d(a, b) = d(b, a) = d(a, b) + rng.uniform(4.0, 12.0);
+      }
+
+      SmacofOptions warm;
+      warm.random_restarts = 0;
+      SmacofWorkspace sws;
+      SmacofResult base, cand;
+      smacof_2d_into(base, d, w, SmacofOptions{}, rng, nullptr, sws);
+      TriangleStressBound bound;
+      bound.reset(d, w, links);
+      for (std::size_t k = 1; k <= 3; ++k) {
+        for (const std::vector<std::size_t>& subset : subsets_of_size(links.size(), k)) {
+          Matrix wc = w;
+          for (std::size_t li : subset)
+            wc(links[li].first, links[li].second) = wc(links[li].second, links[li].first) =
+                0.0;
+          smacof_2d_into(cand, d, wc, warm, rng, &base.positions, sws);
+          const double lb = bound.bound(subset);
+          ASSERT_LE(lb, cand.normalized_stress)
+              << "n " << n << " trial " << trial << " k " << k;
+          ++checked;
+          // Would the search skip it (the bound alone fails a 90% drop)?
+          if (lb >= 0.1 * base.normalized_stress) ++binding;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+  EXPECT_GT(binding, checked / 2);  // the bound is not vacuous
+}
+
+// A single violated triangle is the tight case: the best layout is collinear
+// with residuals (v, -v, -v) / 3, so the bound meets the SMACOF optimum.
+TEST(TriangleStressBound, TightOnOneViolatedTriangle) {
+  Matrix d(3, 3);
+  d(0, 1) = d(1, 0) = 10.0;
+  d(0, 2) = d(2, 0) = 2.0;
+  d(1, 2) = d(2, 1) = 2.0;  // v = 10 - 2 - 2 = 6: raw stress >= 36 / 3
+  const Matrix w = Matrix::ones(3, 3);
+  TriangleStressBound bound;
+  bound.reset(d, w, links_of(w));
+  const double lb = bound.bound({});
+  EXPECT_NEAR(lb, 2.0, 1e-8);  // sqrt(12 / 3 links)
+  uwp::Rng rng(6);
+  const SmacofResult res = smacof_2d(d, w, SmacofOptions{}, rng);
+  EXPECT_LE(lb, res.normalized_stress);
+  EXPECT_NEAR(res.normalized_stress, lb, 1e-6);
+  // Dropping any side leaves no triangle, so nothing is bounded.
+  const std::size_t drop[] = {1};
+  EXPECT_EQ(bound.bound(drop), 0.0);
+}
+
+// Hostile sides: a NaN or Inf distance removes its triangles from the bound
+// instead of turning it into NaN (a NaN bound fails the acceptance test and
+// would skip every candidate) or Inf.
+TEST(TriangleStressBound, NonFiniteSidesContributeNothing) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  // A 20 m link 0-1 violates triangles (0, 1, 2) (v = 12.8) and (0, 1, 3)
+  // (v = 5.6); they share that link, so only the larger one is packed.
+  const std::vector<Vec2> truth = {{0, 0}, {4, 0}, {2, 3}, {-3, 5}};
+  const Matrix w = Matrix::ones(4, 4);
+  const std::vector<Edge> links = links_of(w);  // 01 02 03 12 13 23
+  for (const double hostile : {kNaN, kInf, -kInf}) {
+    Matrix d = distance_matrix(truth);
+    d(0, 1) = d(1, 0) = 20.0;
+    TriangleStressBound bound;
+    bound.reset(d, w, links);
+    const double clean = bound.bound({});
+    EXPECT_GT(clean, 0.0);
+    // A hostile side on (0, 1, 3) alone leaves the packed triangle counted.
+    d(0, 3) = d(3, 0) = hostile;
+    bound.reset(d, w, links);
+    EXPECT_EQ(bound.bound({}), clean);
+    // With one on (0, 1, 2) too, every triangle has a hostile side.
+    d(1, 2) = d(2, 1) = hostile;
+    bound.reset(d, w, links);
+    for (std::size_t k = 0; k <= 3; ++k)
+      for (const std::vector<std::size_t>& subset : subsets_of_size(links.size(), k)) {
+        const double lb = bound.bound(subset);
+        EXPECT_FALSE(std::isnan(lb));
+        EXPECT_EQ(lb, 0.0);
+      }
+  }
+  // The full search on a hostile matrix still terminates with a result.
+  Matrix d = distance_matrix(truth);
+  d(0, 1) = d(1, 0) = kNaN;
+  uwp::Rng rng(7);
+  const OutlierResult res = localize_with_outlier_detection(d, w, {}, rng);
+  EXPECT_EQ(res.positions.size(), 4u);
 }
 
 TEST(Ambiguity, TranslateLeaderToOrigin) {

@@ -193,6 +193,30 @@ TEST(GoldenLocalizer, ExhaustiveOutlierSearch) {
                         kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
 }
 
+// Algorithm 1's search counters: the stress bound skips most candidates of
+// this fixture without changing the pinned result above, and the counts and
+// SMACOF iterations are the same at any search_threads.
+TEST(GoldenLocalizer, ExhaustiveOutlierSearchCandidateCounts) {
+  core::LocalizerOptions parallel;
+  parallel.outlier.search_threads = 4;
+  check_localizer_case({golden::fixture_outlier_input(), parallel, kOutlier_xy,
+                        kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
+  core::LocalizerWorkspace ws;
+  core::LocalizationResult serial, fanned;
+  Rng rng(99);
+  core::Localizer().localize_into(serial, golden::fixture_outlier_input(), rng, ws);
+  EXPECT_EQ(serial.candidate_solves, 60);
+  EXPECT_EQ(serial.candidates_pruned, 171);
+  // 21 links, levels 1 and 2 searched: C(21, 1) + C(21, 2) candidates.
+  EXPECT_EQ(serial.candidate_solves + serial.candidates_pruned, 21 + 210);
+  Rng rng4(99);
+  core::Localizer(parallel).localize_into(fanned, golden::fixture_outlier_input(), rng4,
+                                          ws);
+  EXPECT_EQ(fanned.candidate_solves, serial.candidate_solves);
+  EXPECT_EQ(fanned.candidates_pruned, serial.candidates_pruned);
+  EXPECT_EQ(fanned.solver_iterations, serial.solver_iterations);
+}
+
 TEST(GoldenLocalizer, PrunedWarmStartSearch) {
   check_localizer_case({golden::fixture_pruned_input(), golden::fixture_pruned_options(),
                         kPruned_xy, kPruned_stress, true, 32, true,

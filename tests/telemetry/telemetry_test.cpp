@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -135,6 +136,21 @@ TEST(Histogram, OctaveBoundariesLandExactly) {
   EXPECT_EQ(h.bucket_index(0.0), 0u);
   EXPECT_EQ(h.bucket_index(h.min_value() / 2.0), 0u);
   EXPECT_EQ(h.bucket_index(1e300), h.buckets() - 1);
+}
+
+TEST(Histogram, NonFiniteAndOverflowingValuesHaveABucket) {
+  const Histogram h;  // min 1e-9: DBL_MAX / min overflows to +Inf
+  EXPECT_EQ(h.bucket_index(std::numeric_limits<double>::infinity()), h.buckets() - 1);
+  EXPECT_EQ(h.bucket_index(std::numeric_limits<double>::max()), h.buckets() - 1);
+  EXPECT_EQ(h.bucket_index(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(h.bucket_index(-std::numeric_limits<double>::infinity()), 0u);
+  // record() still drops non-finite samples; finite extremes are counted.
+  Histogram r;
+  r.record(std::numeric_limits<double>::infinity());
+  r.record(std::numeric_limits<double>::quiet_NaN());
+  r.record(std::numeric_limits<double>::max());
+  EXPECT_EQ(r.count(), 1u);
+  EXPECT_EQ(r.max_seen(), std::numeric_limits<double>::max());
 }
 
 TEST(Histogram, BucketLowerEdgesAreMonotonicGeometric) {
