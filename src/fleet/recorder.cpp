@@ -234,86 +234,57 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
   if (col != nullptr) col->open(1);
   telemetry::ShardStream* const tel = col != nullptr ? &col->stream(0) : nullptr;
 
-  pipeline::RoundMeasurement meas;
-  RoundRecord recorded, recomputed;
+  // The same executor the live run used: one Session per recorded session,
+  // leasing from one arena, with measurements decoded from the trace instead
+  // of produced by a feed. Counter-plane mirror of the live tick loop: the
+  // session's i-th coast/measurement event happened at tick admit_tick + i,
+  // the admit (with its arena lease) rode the first event's tick and the
+  // evict the last one's. Counter pages are per-window sums, so replaying
+  // the sessions one by one rebuilds the pages the interleaved live
+  // schedule produced.
+  ShardArena arena;
+  arena.set_telemetry(tel);
+  SessionHooks hooks;
+  hooks.telemetry = tel;
+  RoundRecord recorded;
   for (std::size_t id = 0; id < trace_.sessions.size(); ++id) {
     const sim::GroupScenario& sc = workload_[id];
-    pipeline::RoundPipeline pipe(pipeline_options_for(sc));
-    pipe.set_telemetry(tel);
-    uwp::Rng solve_rng(session_stream_seed(trace_.master_seed, id, kSolverStream));
-
-    SessionMetrics& m = metrics[id];
-    m.session_id = id;
-    m.kind = sc.kind;
-
-    // The counter-plane mirror of the live tick loop: the session's i-th
-    // coast/measurement event happened at tick admit_tick + i, and the
-    // admit (with its arena lease) rode the first event's tick, the evict
-    // the last one's. Counter pages are per-window sums, so replaying the
-    // sessions one by one rebuilds the same pages the interleaved live
-    // schedule produced.
+    Session session(sc, trace_.master_seed);
     std::size_t event_index = 0;
-    bool admitted = false;
-    const auto stamp = [&]() {
-      if (tel == nullptr) return;
-      tel->set_time(static_cast<double>(sc.admit_tick + event_index));
-      if (!admitted) {
-        tel->count(telemetry::Counter::kArenaLeases);
-        tel->count(telemetry::Counter::kAdmits);
-        tel->count(telemetry::Counter::kAdmitDevices, sc.scene.protocol.num_devices);
-      }
-      admitted = true;
-    };
-
-    bool have_round = false;  // a run_round result awaiting its record frame
+    const RoundRecord* recomputed = nullptr;  // awaiting its record frame
     for (const TraceEvent& ev : trace_.sessions[id].events) {
-      switch (ev.kind) {
-        case FrameKind::kCoast:
-          stamp();
-          ++event_index;
-          pipe.coast(ev.dt_s);
-          m.note_coast();
-          if (tel != nullptr) tel->count(telemetry::Counter::kCoasts);
-          have_round = false;
-          break;
-        case FrameKind::kMeasurement: {
-          stamp();
-          ++event_index;
-          std::size_t pos = 0;
-          decode_measurement(ev.payload, pos, meas);
-          // Each record is only internally consistent; the pipeline indexes
-          // by the *scenario's* device count, so a mismatched (corrupt or
-          // cross-wired) frame must be rejected here, not read out of
-          // bounds downstream.
-          if (meas.protocol.timestamps.rows() != sc.scene.protocol.num_devices)
-            throw WireError("fleet trace: measurement device count != session's");
-          const pipeline::RoundOutput& po = pipe.run_round(meas, solve_rng, ev.dt_s);
-          m.note_round(po);
-          recomputed.round = ev.round;
-          recomputed.localized = po.localized;
-          recomputed.normalized_stress =
-              po.localized ? po.localization.normalized_stress : 0.0;
-          recomputed.error_2d = po.error_2d;
-          recomputed.tracked_error_2d = po.tracked_error_2d;
-          have_round = true;
-          break;
-        }
-        case FrameKind::kRoundResult: {
-          std::size_t pos = 0;
-          decode_round_record(ev.payload, pos, recorded);
-          if (!have_round || !bit_equal(recorded, recomputed)) ++out.result_mismatches;
-          have_round = false;
-          break;
-        }
+      if (ev.kind == FrameKind::kRoundResult) {
+        std::size_t pos = 0;
+        decode_round_record(ev.payload, pos, recorded);
+        if (recomputed == nullptr || !bit_equal(recorded, *recomputed))
+          ++out.result_mismatches;
+        recomputed = nullptr;
+        continue;
       }
+      if (tel != nullptr) tel->set_time(static_cast<double>(sc.admit_tick + event_index));
+      ++event_index;
+      if (!session.active()) session.admit(arena, hooks);
+      if (ev.kind == FrameKind::kCoast) {
+        session.coast(ev.dt_s);
+        recomputed = nullptr;
+        continue;
+      }
+      pipeline::RoundMeasurement& meas = session.measurement();
+      std::size_t pos = 0;
+      decode_measurement(ev.payload, pos, meas);
+      // Each record is only internally consistent; the pipeline indexes by
+      // the *scenario's* device count, so a mismatched (corrupt or
+      // cross-wired) frame must be rejected here, not read out of bounds
+      // downstream.
+      if (meas.protocol.timestamps.rows() != sc.scene.protocol.num_devices)
+        throw WireError("fleet trace: measurement device count != session's");
+      recomputed = &session.run_round(ev.round, ev.dt_s);
     }
-    if (tel != nullptr && admitted) {
-      // Eviction is implicit in the trace: it happened on the last event's
-      // tick (the live scheduler checks lifetime exhaustion after the
-      // event), whose time is still the stream's current window.
-      tel->count(telemetry::Counter::kEvicts);
-      tel->count(telemetry::Counter::kEvictDevices, sc.scene.protocol.num_devices);
-    }
+    // Eviction is implicit in the trace: it happened on the last event's
+    // tick (the live scheduler checks lifetime exhaustion after the event),
+    // whose time is still the stream's current window.
+    if (session.active()) session.evict(arena);
+    metrics[id] = session.take_metrics();
   }
 
   if (control != nullptr) {

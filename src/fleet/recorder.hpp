@@ -117,10 +117,12 @@ FleetTrace load_fleet_trace(const std::string& path);
 void write_fleet_trace(std::ostream& out, const FleetTrace& trace);
 
 // Replays a captured fleet run through the real service stack: regenerates
-// the workload from the trace header, rebuilds each session's pipeline,
-// decodes every measurement from its recorded bytes and runs it through
-// pipeline::RoundPipeline with the session's re-derived solver stream.
-// Produces the same FleetResult a live run produces, bit for bit.
+// the workload from the trace header and drives each session through the
+// same fleet::Session (and ShardArena) the live service and server use,
+// decoding every measurement from its recorded bytes and re-deriving the
+// session's solver stream. Produces the same FleetResult a live run
+// produces, bit for bit, and checks every recomputed result against the
+// recorded one (both built by Session::run_round).
 class Replayer {
  public:
   explicit Replayer(FleetTrace trace);

@@ -57,57 +57,71 @@ FleetResult FleetService::run(SessionRecorder* recorder,
 
   // Per-shard state persists across chunks: the control loop slices the
   // tick timeline into window-length chunks with a quiesce point between
-  // them, and sessions/arenas/planes must carry over.
+  // them, and sessions/feeds/arenas must carry over. Each Session is paired
+  // with the MeasurementFeed that fills its measurements, as feed_workload
+  // pairs them on the producer side of a served run.
   struct ShardState {
     std::vector<Session> sessions;
+    std::vector<MeasurementFeed> feeds;
     std::vector<std::size_t> ids;
-    pipeline::BatchPlane plane;
-    std::vector<Session*> enqueued;
   };
   std::vector<ShardState> states(shards);
   for (std::size_t shard = 0; shard < shards; ++shard) {
     ShardState& st = states[shard];
     for (std::size_t id = shard; id < n_sessions; id += shards) st.ids.push_back(id);
     st.sessions.reserve(st.ids.size());
-    for (const std::size_t id : st.ids)
+    st.feeds.reserve(st.ids.size());
+    for (const std::size_t id : st.ids) {
       st.sessions.emplace_back(workload_[id], opts_.master_seed);
+      st.feeds.emplace_back(workload_[id], opts_.master_seed);
+    }
   }
 
   // One shard over one tick range: the sessions with id % shards == shard,
-  // in id order. Sessions are independent and the recorder's per-session
-  // buffers are disjoint, so shards share nothing mutable (each telemetry
-  // stream has exactly one producer: its shard). `apply` folds the engine's
-  // current knob bundle in first — every fleet-side knob is result-neutral,
-  // so sessions admitted mid-chunk (which run with the previous bundle
-  // until the next boundary) cannot perturb FleetResult either.
+  // in id order, each admitted at its admit tick, advanced by one event per
+  // tick, and evicted on the tick its lifetime is exhausted. Sessions are
+  // independent and the recorder's per-session buffers are disjoint, so
+  // shards share nothing mutable (each telemetry stream has exactly one
+  // producer: its shard). `apply` folds the engine's current knob bundle in
+  // first — every fleet-side knob is result-neutral, so sessions admitted
+  // mid-chunk (which run with the previous bundle until the next boundary)
+  // cannot perturb FleetResult either.
   const auto run_chunk = [&](std::size_t shard, std::size_t tick_begin,
                              std::size_t tick_end, bool apply) {
     ShardState& st = states[shard];
-    telemetry::ShardStream* const tel = col != nullptr ? &col->stream(shard) : nullptr;
-    arenas[shard].set_telemetry(tel);
+    ShardArena& arena = arenas[shard];
+    SessionHooks hooks;
+    hooks.recorder = recorder;
+    hooks.telemetry = col != nullptr ? &col->stream(shard) : nullptr;
+    if (opts_.measure_latency) hooks.latencies = &shard_latencies[shard];
+    telemetry::ShardStream* const tel = hooks.telemetry;
+    arena.set_telemetry(tel);
     if (apply) {
-      arenas[shard].set_controls(engine->controls());
+      arena.set_controls(engine->controls());
       for (Session& s : st.sessions) s.apply_controls(engine->controls());
     }
-    std::vector<double>* lat = opts_.measure_latency ? &shard_latencies[shard] : nullptr;
     for (std::size_t tick = tick_begin; tick < tick_end; ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      if (!opts_.batch_rounds) {
-        for (Session& s : st.sessions) s.tick(tick, arenas[shard], recorder, lat, tel);
-        continue;
+      for (std::size_t k = 0; k < st.sessions.size(); ++k) {
+        Session& s = st.sessions[k];
+        MeasurementFeed& feed = st.feeds[k];
+        if (feed.exhausted()) continue;
+        if (!s.active()) {
+          if (tick < s.scenario().admit_tick) continue;
+          s.admit(arena, hooks);
+          feed.open();
+        }
+        const double dt = feed.next_dt_s();
+        if (feed.next(s.measurement()) == MeasurementFeed::Event::kCoast) {
+          s.coast(dt);
+        } else {
+          s.run_round(static_cast<std::uint32_t>(s.metrics().rounds), dt);
+        }
+        if (feed.exhausted()) {
+          s.evict(arena);
+          feed.close();
+        }
       }
-      // Batched tick: collect every session's pending round, run them all
-      // stage-sliced through the SoA plane, then fold outputs back in the
-      // same session order the reference loop uses.
-      st.plane.clear();
-      st.enqueued.clear();
-      for (Session& s : st.sessions)
-        if (s.begin_tick(tick, arenas[shard], recorder, st.plane, tel))
-          st.enqueued.push_back(&s);
-      st.plane.execute(opts_.measure_latency);
-      const std::span<const pipeline::BatchSlot> slots = st.plane.slots();
-      for (std::size_t k = 0; k < st.enqueued.size(); ++k)
-        st.enqueued[k]->finish_tick(slots[k], arenas[shard], recorder, lat, tel);
     }
   };
 

@@ -36,11 +36,10 @@ struct FleetOptions {
   // Record the wall-clock of every run_round call into
   // FleetResult::round_latency_s (for the bench's p50/p99 reporting).
   bool measure_latency = false;
-  // Gather every session's round on a tick into one pipeline::BatchPlane
-  // and run them stage-sliced in struct-of-arrays groups (the throughput
-  // path). Results are bit-identical to the per-session path — grouping is
-  // a memory layout choice, not a scheduling one — so this is a pure perf
-  // knob; false keeps the one-session-at-a-time reference loop.
+  // Ignored. It selected a batched round layout that has been removed (it
+  // measured no faster than the per-session loop every run now takes); the
+  // field stays only because perfbench/ still assigns it, and perfbench/ is
+  // changed only together with the benchmark definition.
   bool batch_rounds = true;
 };
 

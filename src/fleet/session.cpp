@@ -277,138 +277,67 @@ MeasurementFeed::Event MeasurementFeed::next(pipeline::RoundMeasurement& out) {
 
 Session::Session(const sim::GroupScenario& scenario, std::uint64_t master_seed)
     : sc_(&scenario),
-      feed_(scenario, master_seed),
       solve_rng_(session_stream_seed(master_seed, scenario.session_id, kSolverStream)) {
   metrics_.session_id = scenario.session_id;
   metrics_.kind = scenario.kind;
 }
 
-void Session::admit(ShardArena& arena, SessionRecorder* recorder,
-                    telemetry::ShardStream* telemetry) {
+void Session::admit(ShardArena& arena, const SessionHooks& hooks) {
+  hooks_ = hooks;
   rt_ = arena.lease(pipeline_options_for(*sc_));
-  rt_->pipe.set_telemetry(telemetry);
-  feed_.open();
-  state_ = SessionState::kActive;
-  if (recorder != nullptr) recorder->on_admit(*sc_);
-  if (telemetry != nullptr) {
-    telemetry->count(telemetry::Counter::kAdmits);
-    telemetry->count(telemetry::Counter::kAdmitDevices,
-                     sc_->scene.protocol.num_devices);
+  rt_->pipe.set_telemetry(hooks_.telemetry);
+  if (hooks_.recorder != nullptr) hooks_.recorder->on_admit(*sc_);
+  if (hooks_.telemetry != nullptr) {
+    hooks_.telemetry->count(telemetry::Counter::kAdmits);
+    hooks_.telemetry->count(telemetry::Counter::kAdmitDevices,
+                            sc_->scene.protocol.num_devices);
+  }
+}
+
+void Session::evict(ShardArena& arena) {
+  arena.release(std::move(rt_));
+  if (hooks_.recorder != nullptr) hooks_.recorder->on_evict(sc_->session_id);
+  if (hooks_.telemetry != nullptr) {
+    hooks_.telemetry->count(telemetry::Counter::kEvicts);
+    hooks_.telemetry->count(telemetry::Counter::kEvictDevices,
+                            sc_->scene.protocol.num_devices);
   }
 }
 
 void Session::apply_controls(const control::ShardControls& controls) {
-  if (state_ != SessionState::kActive || rt_ == nullptr) return;
-  rt_->pipe.set_search_threads(controls.search_threads);
+  if (rt_ != nullptr) rt_->pipe.set_search_threads(controls.search_threads);
 }
 
-void Session::run_event(ShardArena& arena, SessionRecorder* recorder,
-                        std::vector<double>* latencies,
-                        telemetry::ShardStream* telemetry) {
-  const double dt = feed_.next_dt_s();
-
-  if (feed_.next(rt_->meas) == MeasurementFeed::Event::kCoast) {
-    rt_->pipe.coast(dt);
-    metrics_.note_coast();
-    if (recorder != nullptr) recorder->on_coast(sc_->session_id, dt);
-    if (telemetry != nullptr) telemetry->count(telemetry::Counter::kCoasts);
-  } else {
-    const std::uint32_t round_index = static_cast<std::uint32_t>(metrics_.rounds);
-    if (recorder != nullptr)
-      recorder->on_measurement(sc_->session_id, round_index, dt, rt_->meas);
-    if (telemetry != nullptr && telemetry->trace_enabled())
-      rt_->pipe.set_trace(
-          telemetry::make_trace_id(sc_->session_id, metrics_.rounds));
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const pipeline::RoundOutput& out = rt_->pipe.run_round(rt_->meas, solve_rng_, dt);
-    if (latencies != nullptr)
-      latencies->push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-
-    metrics_.note_round(out);
-    record_round(out, round_index, recorder);
-  }
-
-  maybe_evict(arena, recorder, telemetry);
+void Session::coast(double dt_s) {
+  rt_->pipe.coast(dt_s);
+  metrics_.note_coast();
+  if (hooks_.recorder != nullptr) hooks_.recorder->on_coast(sc_->session_id, dt_s);
+  if (hooks_.telemetry != nullptr) hooks_.telemetry->count(telemetry::Counter::kCoasts);
 }
 
-void Session::record_round(const pipeline::RoundOutput& out, std::uint32_t round_index,
-                           SessionRecorder* recorder) {
-  if (recorder == nullptr) return;
-  record_scratch_.round = round_index;
-  record_scratch_.localized = out.localized;
-  record_scratch_.normalized_stress =
-      out.localized ? out.localization.normalized_stress : 0.0;
-  record_scratch_.error_2d = out.error_2d;
-  record_scratch_.tracked_error_2d = out.tracked_error_2d;
-  recorder->on_round_result(sc_->session_id, record_scratch_);
-}
+const RoundRecord& Session::run_round(std::uint32_t round, double dt_s) {
+  if (hooks_.telemetry != nullptr && hooks_.telemetry->trace_enabled())
+    rt_->pipe.set_trace(telemetry::make_trace_id(sc_->session_id, round));
+  // Captured pre-quantization: the pipeline's quantize stage rewrites the
+  // timestamp table in place.
+  if (hooks_.recorder != nullptr)
+    hooks_.recorder->on_measurement(sc_->session_id, round, dt_s, rt_->meas);
 
-void Session::maybe_evict(ShardArena& arena, SessionRecorder* recorder,
-                          telemetry::ShardStream* telemetry) {
-  if (!feed_.exhausted()) return;
-  arena.release(std::move(rt_));
-  feed_.close();
-  state_ = SessionState::kEvicted;
-  if (recorder != nullptr) recorder->on_evict(sc_->session_id);
-  if (telemetry != nullptr) {
-    telemetry->count(telemetry::Counter::kEvicts);
-    telemetry->count(telemetry::Counter::kEvictDevices,
-                     sc_->scene.protocol.num_devices);
-  }
-}
+  const auto t0 = std::chrono::steady_clock::now();
+  const pipeline::RoundOutput& out = rt_->pipe.run_round(rt_->meas, solve_rng_, dt_s);
+  if (hooks_.latencies != nullptr)
+    hooks_.latencies->push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
 
-bool Session::begin_tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                         pipeline::BatchPlane& plane,
-                         telemetry::ShardStream* telemetry) {
-  if (state_ == SessionState::kEvicted) return false;
-  if (state_ == SessionState::kPending) {
-    if (tick < sc_->admit_tick) return false;
-    admit(arena, recorder, telemetry);
-  }
-
-  const double dt = feed_.next_dt_s();
-  if (feed_.next(rt_->meas) == MeasurementFeed::Event::kCoast) {
-    rt_->pipe.coast(dt);
-    metrics_.note_coast();
-    if (recorder != nullptr) recorder->on_coast(sc_->session_id, dt);
-    if (telemetry != nullptr) telemetry->count(telemetry::Counter::kCoasts);
-    maybe_evict(arena, recorder, telemetry);
-    return false;
-  }
-
-  // The measurement is captured pre-quantization, exactly as in run_event
-  // (the batch plane's quantize stage mutates it in place afterwards).
-  if (recorder != nullptr)
-    recorder->on_measurement(sc_->session_id, static_cast<std::uint32_t>(metrics_.rounds),
-                             dt, rt_->meas);
-  if (telemetry != nullptr && telemetry->trace_enabled())
-    rt_->pipe.set_trace(
-        telemetry::make_trace_id(sc_->session_id, metrics_.rounds));
-  plane.enqueue(rt_->pipe, rt_->meas, solve_rng_, dt);
-  return true;
-}
-
-void Session::finish_tick(const pipeline::BatchSlot& slot, ShardArena& arena,
-                          SessionRecorder* recorder, std::vector<double>* latencies,
-                          telemetry::ShardStream* telemetry) {
-  if (latencies != nullptr) latencies->push_back(slot.latency_s);
-  const std::uint32_t round_index = static_cast<std::uint32_t>(metrics_.rounds);
-  metrics_.note_round(*slot.out);
-  record_round(*slot.out, round_index, recorder);
-  maybe_evict(arena, recorder, telemetry);
-}
-
-void Session::tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                   std::vector<double>* latencies,
-                   telemetry::ShardStream* telemetry) {
-  if (state_ == SessionState::kEvicted) return;
-  if (state_ == SessionState::kPending) {
-    if (tick < sc_->admit_tick) return;
-    admit(arena, recorder, telemetry);
-  }
-  run_event(arena, recorder, latencies, telemetry);
+  metrics_.note_round(out);
+  record_.round = round;
+  record_.localized = out.localized;
+  record_.normalized_stress = out.localized ? out.localization.normalized_stress : 0.0;
+  record_.error_2d = out.error_2d;
+  record_.tracked_error_2d = out.tracked_error_2d;
+  if (hooks_.recorder != nullptr)
+    hooks_.recorder->on_round_result(sc_->session_id, record_);
+  return record_;
 }
 
 }  // namespace uwp::fleet

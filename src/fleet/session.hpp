@@ -1,8 +1,10 @@
 // One serving session: the full lifecycle (admit -> rounds -> coast ->
 // evict) of a single positioning group inside the fleet, backed by a warm
-// pipeline::RoundPipeline leased from its shard's arena and one of the
-// pipeline front-ends (the calibrated fast closed form for most groups, a
-// full packet-level des::DesSessionSource for the DES slice).
+// pipeline::RoundPipeline leased from its shard's arena. Its measurements
+// come from a MeasurementFeed over one of the pipeline front-ends (the
+// calibrated fast closed form for most groups, a full packet-level
+// des::DesSessionSource for the DES slice) — in-process, over a Transport,
+// or out of a recorded trace.
 //
 // Determinism contract (the fleet analog of sim::SweepRunner's): a session
 // consumes exactly two private rng streams derived from
@@ -24,7 +26,6 @@
 #include "control/actions.hpp"
 #include "des/mobility.hpp"
 #include "fleet/wire.hpp"
-#include "pipeline/batch_plane.hpp"
 #include "pipeline/closed_form.hpp"
 #include "pipeline/round_pipeline.hpp"
 #include "sim/fleet_workload.hpp"
@@ -186,10 +187,11 @@ pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc);
 // The client side of a session: the deterministic event stream its devices
 // produce — dropout draws, closed-form motion, front-end sampling — with no
 // serving-side state attached. The live FleetService couples producer and
-// consumer in-process (Session owns a feed); the ingest server's workload
-// feeder runs the same feed on the producer side of a Transport. Both paths
-// consume the identical measurement rng stream, so a served fleet is
-// bit-identical to the synchronous one on the same (workload, master_seed).
+// consumer in-process (each Session is paired with a feed on its shard); the
+// ingest server's workload feeder runs the same feed on the producer side of
+// a Transport. Both paths consume the identical measurement rng stream, so a
+// served fleet is bit-identical to the synchronous one on the same
+// (workload, master_seed).
 class MeasurementFeed {
  public:
   MeasurementFeed(const sim::GroupScenario& scenario, std::uint64_t master_seed);
@@ -226,67 +228,64 @@ class MeasurementFeed {
 
 // --- session ----------------------------------------------------------------
 
-enum class SessionState : std::uint8_t { kPending, kActive, kEvicted };
+// Where one tenancy's side effects go. Every field is optional: `recorder`
+// captures the session's trace, `telemetry` receives the admit/coast/evict
+// counters and is bound into the pipeline for stage spans (the caller sets
+// its virtual time before each event), and `latencies` receives the
+// wall-clock of each run_round.
+struct SessionHooks {
+  SessionRecorder* recorder = nullptr;
+  telemetry::ShardStream* telemetry = nullptr;
+  std::vector<double>* latencies = nullptr;
+};
 
+// The serving half of one session and the only executor of its lifecycle:
+// admit (lease a warm runtime) -> run_round / coast per event -> evict
+// (return it). FleetService, Server and Replayer all drive this class and
+// differ only in how they fill measurement() — a MeasurementFeed on the
+// same thread, a decoded ingest frame, a decoded trace record — so a
+// served or replayed session cannot take a different code path than a live
+// one. A session may be re-admitted after an evict (the server does so when
+// frames follow a kBye); metrics and the solver stream carry over.
 class Session {
  public:
   Session(const sim::GroupScenario& scenario, std::uint64_t master_seed);
 
-  SessionState state() const { return state_; }
+  const sim::GroupScenario& scenario() const { return *sc_; }
+  bool active() const { return rt_ != nullptr; }
   const SessionMetrics& metrics() const { return metrics_; }
   SessionMetrics take_metrics() { return std::move(metrics_); }
 
-  // Advance one scheduler tick: admit at the scenario's admit tick (leasing
-  // a runtime from `arena`), then run one round — or coast through a jammed
-  // one — per tick until the scheduled lifetime is exhausted, then evict
-  // (returning the runtime to `arena`). `latencies`, when set, receives the
-  // wall-clock of each run_round call; `recorder`, when set, captures the
-  // session's trace; `telemetry`, when set, receives the admit/coast/evict
-  // counters and is bound into the pipeline for stage spans (the caller has
-  // already set its virtual time to this tick).
-  void tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-            std::vector<double>* latencies,
-            telemetry::ShardStream* telemetry = nullptr);
+  // Lease a runtime from `arena` and start a tenancy whose events go to
+  // `hooks` until evict(), which returns the runtime (requires active()).
+  void admit(ShardArena& arena, const SessionHooks& hooks);
+  void evict(ShardArena& arena);
 
-  // Batched tick, split in two so a shard can gather every session's round
-  // into one pipeline::BatchPlane per tick. begin_tick handles the
-  // non-round half of tick() — admission, coast, the recorder's
-  // pre-quantization measurement capture — and enqueues the round onto
-  // `plane` instead of running it; it returns true iff a round was
-  // enqueued. After plane.execute(), call finish_tick with this session's
-  // slot to fold in the outputs and evict exactly as tick() would have.
-  // begin_tick(t) + execute + finish_tick is bit-identical to tick(t):
-  // stages only touch this session's pipeline/rng, so metrics, digests,
-  // traces and counters cannot tell the two schedules apart.
-  bool begin_tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                  pipeline::BatchPlane& plane,
-                  telemetry::ShardStream* telemetry = nullptr);
-  void finish_tick(const pipeline::BatchSlot& slot, ShardArena& arena,
-                   SessionRecorder* recorder, std::vector<double>* latencies,
-                   telemetry::ShardStream* telemetry = nullptr);
+  // The buffer the next run_round consumes (requires active()).
+  pipeline::RoundMeasurement& measurement() { return rt_->meas; }
+
+  // A round that never reached the pipeline (device-side dropout or a
+  // server-side shed): the tracker coasts.
+  void coast(double dt_s);
+
+  // Run measurement() through the pipeline as round `round` (the session's
+  // measurement index: the trace id and the recorded round number). Arms the
+  // trace, records the pre-quantization measurement, times the round, folds
+  // it into metrics(), and records the result. Returns the result record —
+  // the one the recorder captured, built whether or not one is attached.
+  const RoundRecord& run_round(std::uint32_t round, double dt_s);
 
   // Apply the control plane's result-neutral pipeline knobs to a live
   // session (no-op unless active). Called at control-window boundaries.
   void apply_controls(const control::ShardControls& controls);
 
  private:
-  void admit(ShardArena& arena, SessionRecorder* recorder,
-             telemetry::ShardStream* telemetry);
-  void run_event(ShardArena& arena, SessionRecorder* recorder,
-                 std::vector<double>* latencies,
-                 telemetry::ShardStream* telemetry);
-  void record_round(const pipeline::RoundOutput& out, std::uint32_t round_index,
-                    SessionRecorder* recorder);
-  void maybe_evict(ShardArena& arena, SessionRecorder* recorder,
-                   telemetry::ShardStream* telemetry);
-
   const sim::GroupScenario* sc_;
-  SessionState state_ = SessionState::kPending;
-  MeasurementFeed feed_;
   uwp::Rng solve_rng_;
   std::unique_ptr<SessionRuntime> rt_;
+  SessionHooks hooks_;
   SessionMetrics metrics_;
-  RoundRecord record_scratch_;
+  RoundRecord record_;
 };
 
 }  // namespace uwp::fleet

@@ -172,7 +172,13 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
   try {
     localizer_.localize_into(out_.localization, out_.localizer_input, rng, loc_ws_,
                              warm ? &warm_init_ : nullptr);
+    // localized => finite: a hostile measurement (Inf or absurd timestamps,
+    // a NaN bearing) can solve to non-finite positions. Such a round fails,
+    // which also keeps it out of the tracker and the next warm start.
     out_.localized = true;
+    for (const Vec3& p : out_.localization.positions)
+      if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z))
+        out_.localized = false;
   } catch (const std::exception&) {
     out_.localized = false;
   }
@@ -231,9 +237,7 @@ const RoundOutput& RoundPipeline::finish_round() {
     }
   }
   if (tracing()) {
-    // Root span: wall time from begin_round to here — under a BatchPlane
-    // this includes the interleaved stages of the round's group-mates,
-    // which is exactly the queueing the tail debugger wants to see.
+    // Root span: wall time from begin_round to here.
     telemetry_->trace_span(trace_id_, telemetry::TraceOp::kRound,
                            telemetry::TraceOp::kNone, trace_ts0_);
   }

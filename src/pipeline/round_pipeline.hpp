@@ -96,7 +96,6 @@ class RoundPipeline {
   // rebind() on purpose: an arena-reused pipeline keeps reporting into the
   // shard that owns it.
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
-  telemetry::ShardStream* telemetry() const { return telemetry_; }
 
   // Arm the causal trace for the next round: every stage of that round
   // emits a trace span tagged `trace_id` (children of the round-root span)
@@ -104,7 +103,6 @@ class RoundPipeline {
   // untraced rounds between explicit arms emit nothing. No-op when the
   // stream is null or its trace plane is off.
   void set_trace(std::uint64_t trace_id) { trace_id_ = trace_id; }
-  std::uint64_t trace_id() const { return trace_id_; }
 
   // Process one measurement. `dt_s` is the time since the previous round
   // (tracker prediction horizon; ignored when tracking is off). Payload
@@ -113,23 +111,20 @@ class RoundPipeline {
   // the next run_round/run_batch call.
   const RoundOutput& run_round(RoundMeasurement& m, uwp::Rng& rng, double dt_s = 0.0);
 
-  // Stage-sliced round execution — the same chain run_round composes, split
-  // so a pipeline::BatchPlane can interleave many pipelines' rounds stage by
-  // stage (all quantize, all ranging, ...) for cache locality. Protocol per
-  // round, in order:
+  // Stage-sliced round execution — the chain run_round composes, exposed so
+  // a profiler can time each stage of a round on its own (perfbench's traced
+  // runner does). Protocol per round, in order:
   //   begin_round(dt_s)                 tracker predict (warm-start basis)
   //   stage_quantize(m)                 §2.4 payload quantization
   //   stage_ranging(m)                  timestamp table -> distance matrix
   //   stage_localize(m, rng, d, w)      SMACOF + Algorithm 1 + ambiguity;
   //                                     d/w are row-major n*n views of the
   //                                     distance/weight matrices (usually
-  //                                     output().ranging's, or a batch
-  //                                     plane's staged copy)
+  //                                     output().ranging's)
   //   stage_track(m)                    Kalman update + tracked errors
   //   finish_round()                    round counters + aggregate span
   // The results are bit-identical to run_round: stages only communicate
-  // through this pipeline's own state, so interleaving with other pipelines
-  // changes nothing.
+  // through this pipeline's own state.
   void begin_round(double dt_s);
   void stage_quantize(RoundMeasurement& m);
   void stage_ranging(RoundMeasurement& m);

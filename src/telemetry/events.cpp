@@ -74,8 +74,6 @@ const char* to_string(TraceOp op) {
       return "ingest";
     case TraceOp::kQueue:
       return "queue";
-    case TraceOp::kBatch:
-      return "batch";
     case TraceOp::kQuantize:
       return "quantize";
     case TraceOp::kRanging:

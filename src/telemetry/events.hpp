@@ -87,7 +87,6 @@ enum class TraceOp : std::uint8_t {
   kRound = 0,  // whole round, root span
   kIngest,     // serve mode: frame decode + shaper verdict (ingest stream)
   kQueue,      // serve mode: dispatch-queue residency (enqueue -> worker pop)
-  kBatch,      // batched fleet mode: BatchPlane group assignment + SoA gather
   kQuantize,   // pipeline stage slices, children of kRound
   kRanging,
   kLocalize,

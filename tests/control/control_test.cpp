@@ -319,6 +319,30 @@ TEST(ControlFleet, ReplayReexecutesTheLogExactly) {
   EXPECT_TRUE(bit_equal(engine.log(), replayed.control_log));
 }
 
+// The Replayer drives the same Session/ShardArena executor as the live
+// service, so the counter plane it rebuilds (leases, admits, evicts, coasts,
+// rounds, solver counters, window by window) equals the live one at any
+// shard count.
+TEST(ControlFleet, ReplayCountersEqualLiveCounters) {
+  const sim::WorkloadParams params = churn_params(16);
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+  for (const std::size_t shards : {1u, 3u}) {
+    fleet::FleetOptions opts;
+    opts.shards = shards;
+    fleet::SessionRecorder recorder(opts.master_seed, params, workload);
+    telemetry::Collector col(fleet_tel_options(4.0));
+    const fleet::FleetResult live =
+        fleet::FleetService(opts, workload).run(&recorder, &col);
+
+    telemetry::Collector replay_col(fleet_tel_options(4.0));
+    const fleet::Replayer::ReplayResult replayed =
+        fleet::Replayer(recorder.trace()).replay(&replay_col);
+    EXPECT_EQ(replayed.result_mismatches, 0u) << "shards=" << shards;
+    expect_fleet_bits(live, replayed.fleet);
+    EXPECT_TRUE(col.report().counters_equal(replay_col.report())) << "shards=" << shards;
+  }
+}
+
 // --- serve integration ------------------------------------------------------
 
 fleet::ServerResult serve_controlled(const std::vector<sim::GroupScenario>& workload,

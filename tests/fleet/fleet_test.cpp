@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include "des/session_source.hpp"
 #include "fleet/recorder.hpp"
 #include "sim/fleet_workload.hpp"
+#include "telemetry/collector.hpp"
 
 namespace uwp::fleet {
 namespace {
@@ -112,6 +115,82 @@ TEST(FleetService, LatencyMeasurementCoversEveryRound) {
   EXPECT_EQ(r.round_latency_s.size(), r.rounds);
   for (const double l : r.round_latency_s) EXPECT_GE(l, 0.0);
   EXPECT_GT(r.wall_seconds, 0.0);
+}
+
+// Shard-count invariance on a DES-including workload with staggered admits:
+// 1, 2 and 4 shards land on the same fleet digest and error samples.
+TEST(FleetService, DesWorkloadBitIdenticalAtOneTwoAndFourShards) {
+  sim::WorkloadParams params;
+  params.sessions = 96;
+  params.seed = 0xBA7C4u;
+  params.min_group_size = 4;
+  params.max_group_size = 6;
+  params.min_rounds = 2;
+  params.max_rounds = 5;
+  params.admit_spread_ticks = 3;
+  params.include_des = true;
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+
+  FleetResult reference;
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    FleetOptions fo;
+    fo.master_seed = 0xF00Du;
+    fo.shards = shards;
+    const FleetResult r = FleetService(fo, workload).run();
+    if (shards == 1) {
+      reference = r;
+      EXPECT_GT(r.rounds, 0u);
+      continue;
+    }
+    EXPECT_EQ(r.fleet_digest, reference.fleet_digest) << "shards=" << shards;
+    ASSERT_EQ(r.errors.size(), reference.errors.size());
+    for (std::size_t i = 0; i < r.errors.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.errors[i]),
+                std::bit_cast<std::uint64_t>(reference.errors[i]))
+          << "sample " << i;
+  }
+}
+
+// Warm-start accounting: every localize attempt is either a hit or a miss,
+// the totals are deterministic (identical across shard counts), and a
+// steady-state fleet actually warms up (hits dominate once tracks exist).
+TEST(FleetService, WarmStartCountersAreDeterministicAndMostlyHits) {
+  sim::WorkloadParams params;
+  params.sessions = 48;
+  params.seed = 0x3A11u;
+  params.min_group_size = 4;
+  params.max_group_size = 6;
+  params.min_rounds = 6;
+  params.max_rounds = 10;
+  params.include_des = false;
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+
+  std::uint64_t ref_hits = 0, ref_misses = 0;
+  for (const std::size_t shards : {1u, 3u}) {
+    FleetOptions fo;
+    fo.master_seed = 0xD1CEu;
+    fo.shards = shards;
+    FleetService service(fo, workload);
+    telemetry::TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = false;
+    telemetry::Collector col(topts);
+    const FleetResult r = service.run(nullptr, &col);
+    const telemetry::TelemetryReport report = col.report();
+    const std::uint64_t hits =
+        report.totals[static_cast<std::size_t>(telemetry::Counter::kWarmStartHits)];
+    const std::uint64_t misses =
+        report.totals[static_cast<std::size_t>(telemetry::Counter::kWarmStartMisses)];
+    EXPECT_EQ(hits + misses, r.rounds);  // every round localizes exactly once
+    EXPECT_GT(hits, misses);  // multi-round sessions warm up after round 1
+    if (shards == 1) {
+      ref_hits = hits;
+      ref_misses = misses;
+    } else {
+      EXPECT_EQ(hits, ref_hits);
+      EXPECT_EQ(misses, ref_misses);
+    }
+  }
 }
 
 TEST(FleetRecordReplay, ReplayReproducesPerSessionMetricsBitForBit) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,25 +170,35 @@ TEST(RingBufferTransport, FifoOrderAndCloseSemantics) {
 // --- serving determinism ----------------------------------------------------
 
 TEST(FleetServer, UnshapedServeIsBitIdenticalToFleetService) {
-  const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(small_params(48, 0xF00Du));
+  const sim::WorkloadParams params = small_params(48, 0xF00Du);
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
 
   FleetOptions fo;
   fo.master_seed = 0x99u;
   fo.shards = 2;
   FleetService service(fo, workload);
-  const FleetResult reference = service.run();
+  SessionRecorder fleet_recorder(fo.master_seed, params, workload);
+  const FleetResult reference = service.run(&fleet_recorder);
 
   ServerOptions so;
   so.master_seed = fo.master_seed;
   so.workers = 3;
   so.shaping.policy = AdmissionPolicy::kAdmitAll;
-  const ServerResult served = serve_workload(workload, so);
+  SessionRecorder served_recorder(so.master_seed, params, workload);
+  const ServerResult served = serve_workload(workload, so, &served_recorder);
 
   expect_bit_identical(reference, served.fleet);
   EXPECT_EQ(served.stats.shaper.rounds_shed, 0u);
   EXPECT_EQ(served.stats.schedule_mismatches, 0u);
   EXPECT_GT(served.stats.frames_received, 0u);
+
+  // Both callers drive the same recorder hooks in the same per-session
+  // order, so the two traces are the same bytes.
+  std::ostringstream fleet_bytes, served_bytes;
+  fleet_recorder.write(fleet_bytes);
+  served_recorder.write(served_bytes);
+  EXPECT_FALSE(fleet_bytes.str().empty());
+  EXPECT_TRUE(fleet_bytes.str() == served_bytes.str());
 }
 
 TEST(FleetServer, BitIdenticalAcrossWorkerCountsUnderShaping) {

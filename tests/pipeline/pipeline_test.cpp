@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 
 #include "pipeline/arrival_error.hpp"
@@ -153,6 +155,57 @@ TEST(RoundPipeline, TrackingFusesRoundsAndCoasts) {
 
   pipe.reset();
   EXPECT_FALSE(pipe.tracker().track(2).initialized());
+}
+
+bool all_finite(const std::vector<Vec3>& positions) {
+  for (const Vec3& p : positions)
+    if (!std::isfinite(p.x) || !std::isfinite(p.y) || !std::isfinite(p.z)) return false;
+  return true;
+}
+
+// localized => finite: a hostile measurement (an Inf or absurd timestamp, a
+// NaN pointing bearing) may cost its own round, but it must never come out
+// "localized" with non-finite positions, and it must not poison the tracker
+// or the warm start of the clean rounds after it.
+TEST(RoundPipeline, HostileRoundNeverPoisonsLaterTrackedRounds) {
+  const ClosedFormScene scene = test_scene();
+  ArrivalErrorModel arrival;
+  arrival.detection_failure_prob = 0.0;
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::function<void(RoundMeasurement&)> hostile[] = {
+      [&](RoundMeasurement& m) { m.protocol.timestamps(2, 1) = kInf; },
+      [](RoundMeasurement& m) { m.protocol.timestamps(2, 1) = 1e300; },
+      [](RoundMeasurement& m) {
+        m.pointing_bearing_rad = std::numeric_limits<double>::quiet_NaN();
+      },
+  };
+  for (std::size_t c = 0; c < std::size(hostile); ++c) {
+    FastMeasurementModel model(scene, arrival);
+    PipelineOptions opts = test_options(scene);
+    opts.track = true;
+    RoundPipeline pipe(opts);
+    RoundMeasurement m;
+    Rng rng(61);
+
+    model.measure(m, rng);
+    hostile[c](m);
+    const RoundOutput& bad = pipe.run_round(m, rng);
+    if (bad.localized) {
+      EXPECT_TRUE(all_finite(bad.localization.positions)) << "case " << c;
+    }
+
+    for (int r = 0; r < 5; ++r) {
+      model.measure(m, rng);
+      const RoundOutput& out = pipe.run_round(m, rng, 1.0);
+      SCOPED_TRACE(testing::Message() << "case " << c << " round " << r);
+      ASSERT_TRUE(out.localized);
+      EXPECT_TRUE(all_finite(out.localization.positions));
+      for (std::size_t i = 1; i < out.error_2d.size(); ++i) {
+        EXPECT_TRUE(std::isfinite(out.error_2d[i]));
+        EXPECT_TRUE(std::isfinite(out.tracked_error_2d[i]));
+      }
+    }
+  }
 }
 
 TEST(RoundPipeline, RunBatchMatchesManualRounds) {

@@ -317,17 +317,16 @@ TEST(CounterPlane, UnshapedServeMatchesFleetSharedCounters) {
   }
 }
 
-// A tailer thread draining concurrently with a batched run (satellite for
-// the live-dashboard use case): drain() races the shard producers and the
+// A tailer thread draining concurrently with a 4-shard run (the
+// live-dashboard use case): drain() races the shard producers and the
 // service's internal open(), and the deterministic plane must come out
 // exactly as a quiet sequential run's.
-TEST(CounterPlane, ConcurrentTailerDrainsDuringBatchedRun) {
+TEST(CounterPlane, ConcurrentTailerDrainsDuringShardedRun) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(12));
   fleet::FleetOptions fo;
   fo.master_seed = 0x7E1Eu;
   fo.shards = 4;
-  fo.batch_rounds = true;
   TelemetryOptions topts;
   topts.enabled = true;
   topts.window = 4.0;
@@ -381,12 +380,16 @@ TEST(TracePlane, IdPackingRoundTrips) {
   EXPECT_NE(make_trace_id(0, 0), 0u);
 }
 
-TelemetryReport fleet_trace_report(const std::vector<sim::GroupScenario>& workload,
-                                   std::size_t shards, bool batch = true) {
+fleet::FleetOptions trace_fleet_options(std::size_t shards) {
   fleet::FleetOptions fo;
   fo.master_seed = 0x7E1Eu;
   fo.shards = shards;
-  fo.batch_rounds = batch;
+  return fo;
+}
+
+TelemetryReport fleet_trace_report(const std::vector<sim::GroupScenario>& workload,
+                                   std::size_t shards) {
+  const fleet::FleetOptions fo = trace_fleet_options(shards);
   TelemetryOptions topts;
   topts.enabled = true;
   topts.trace = true;
@@ -405,30 +408,31 @@ TEST(TracePlane, FleetStructureDigestInvariantAcrossShardCounts) {
   EXPECT_EQ(one.trace.size(), four.trace.size());
   EXPECT_EQ(trace_structure_digest(one.trace), trace_structure_digest(four.trace));
 
-  // The batched path contributes kBatch spans; every executed round has a
-  // root span and stage children parented to it.
+  // Every executed round has a root span and stage children parented to it.
   std::set<TraceOp> ops;
   for (const TraceSpan& s : one.trace) {
     ops.insert(s.op);
     if (s.op == TraceOp::kRound) {
       EXPECT_EQ(s.parent, TraceOp::kNone);
     }
-    if (s.op == TraceOp::kLocalize || s.op == TraceOp::kBatch) {
+    if (s.op == TraceOp::kLocalize) {
       EXPECT_EQ(s.parent, TraceOp::kRound);
     }
     EXPECT_NE(s.trace_id, 0u);
   }
   EXPECT_TRUE(ops.count(TraceOp::kRound));
-  EXPECT_TRUE(ops.count(TraceOp::kBatch));
   EXPECT_TRUE(ops.count(TraceOp::kLocalize));
 
-  // The batch layout knob must not change the rounds traced: every id in
-  // the reference (unbatched) run appears in the batched one.
-  const TelemetryReport ref = fleet_trace_report(workload, 2, /*batch=*/false);
-  std::set<std::uint64_t> batched_ids, ref_ids;
-  for (const TraceSpan& s : one.trace) batched_ids.insert(s.trace_id);
-  for (const TraceSpan& s : ref.trace) ref_ids.insert(s.trace_id);
-  EXPECT_EQ(batched_ids, ref_ids);
+  // Trace ids cover exactly the executed rounds: one id per (session, round
+  // index) for every round the (untraced) run reports, and nothing else.
+  const fleet::FleetResult result =
+      fleet::FleetService(trace_fleet_options(2), workload).run();
+  std::set<std::uint64_t> expected_ids, traced_ids;
+  for (const fleet::SessionMetrics& m : result.sessions)
+    for (std::size_t r = 0; r < m.rounds; ++r)
+      expected_ids.insert(make_trace_id(m.session_id, r));
+  for (const TraceSpan& s : one.trace) traced_ids.insert(s.trace_id);
+  EXPECT_EQ(traced_ids, expected_ids);
 }
 
 TelemetryReport serve_trace_report(const std::vector<sim::GroupScenario>& workload,
