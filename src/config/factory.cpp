@@ -195,9 +195,6 @@ control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   cfg.arena = spec.control.arena;
   cfg.shaper = spec.control.shaper;
   cfg.solver = spec.control.solver;
-  // The control window IS the telemetry window: the engine folds the
-  // counter plane's own snapshots, so the two cannot be sized apart.
-  cfg.window_ticks = spec.telemetry.window_ticks;
   cfg.evict_storm = spec.control.evict_storm;
   cfg.retain_base = spec.control.retain_base;
   cfg.retain_max = spec.control.retain_max;

@@ -60,15 +60,16 @@ sim::SweepRunner make_sweep(const ScenarioSpec& spec);
 // is scaled by tick_period_s — same windows on the same virtual timeline.
 telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec);
 
-// Control-plane config from the control section. The fold's window length
-// is telemetry.window_ticks — the engine consumes the counter plane's own
-// windows, so the two sections cannot be sized apart.
+// Control-plane config from the control section. The fold's window is
+// the collector's (telemetry.window_ticks, scaled as above): Server folds
+// the counter plane's own windows, so the two sections cannot be sized
+// apart.
 control::ControlConfig make_control_config(const ScenarioSpec& spec);
 
 // The knob bundle the control fold starts from: shaper fields seeded from
 // fleet.server.options.shaping, everything else at the ShardControls
-// defaults. Pass the same baseline to the live engine and to
-// Replayer::replay for the record→replay pin to hold.
+// defaults. Pass the same baseline to ControlEngine::reexecute for it to
+// reproduce the live log.
 control::ShardControls make_control_baseline(const ScenarioSpec& spec);
 
 }  // namespace uwp::config

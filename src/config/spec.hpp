@@ -163,14 +163,14 @@ struct TelemetrySpec {
   FlightSpec flight{};
 };
 
-// Control section (fleet/serve modes): the self-tuning control plane
+// Control section (serve mode): the self-tuning control plane
 // (src/control/README.md). When enabled (requires telemetry.enabled), the
 // run folds each closed counter window through the policy chain and applies
 // the resulting knob bundle — arena cache policy/retention, shaper
 // rate/burst/defer budget, solver search threads. The window length is the
 // telemetry window (telemetry.window_ticks); every decision is a pure
 // function of (window index, counter snapshot, this section), so the
-// emitted ControlLog is byte-identical at any shard/worker/thread count.
+// emitted ControlLog is byte-identical at any worker/thread count.
 struct ControlSpec {
   bool enabled = false;
   // Per-policy gates (all pure subsets of the same fold).

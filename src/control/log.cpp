@@ -1,17 +1,10 @@
 #include "control/log.hpp"
 
 #include <cstring>
-#include <istream>
-#include <iterator>
-#include <ostream>
-#include <stdexcept>
 
 namespace uwp::control {
 namespace {
 
-// Local little-endian primitives. fleet/wire.hpp has equivalents, but the
-// control layer sits *below* the fleet in the dependency order, so it keeps
-// its own (the formats are independent anyway — different magic/version).
 constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -28,57 +21,6 @@ std::uint64_t dbits(double v) {
   std::memcpy(&u, &v, sizeof(u));
   return u;
 }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-struct Reader {
-  const std::vector<std::uint8_t>& in;
-  std::size_t pos = 0;
-
-  void need(std::size_t bytes) const {
-    if (pos + bytes > in.size())
-      throw std::runtime_error("control log: truncated input");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return in[pos++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(v | (std::uint16_t(in[pos + i]) << (8 * i)));
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(in[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(in[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-};
 
 }  // namespace
 
@@ -100,50 +42,6 @@ std::uint64_t control_log_digest(const ControlLog& log) {
     h = fnv_u64(h, dbits(a.value));
   }
   return h;
-}
-
-void write_control_log(std::ostream& out, const ControlLog& log) {
-  std::vector<std::uint8_t> buf;
-  put_u32(buf, kControlLogMagic);
-  put_u16(buf, kControlLogVersion);
-  put_u64(buf, log.windows_observed);
-  put_u64(buf, log.actions.size());
-  for (const ControlAction& a : log.actions) {
-    put_u64(buf, a.window);
-    buf.push_back(static_cast<std::uint8_t>(a.kind));
-    put_u64(buf, dbits(a.value));
-  }
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-  if (!out) throw std::runtime_error("control log: write failed");
-}
-
-ControlLog read_control_log(std::istream& in) {
-  std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>(in),
-                                std::istreambuf_iterator<char>()};
-  Reader r{buf, 0};
-  if (r.u32() != kControlLogMagic)
-    throw std::runtime_error("control log: bad magic");
-  if (r.u16() != kControlLogVersion)
-    throw std::runtime_error("control log: unsupported version");
-  ControlLog log;
-  log.windows_observed = r.u64();
-  const std::uint64_t n = r.u64();
-  log.actions.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ControlAction a;
-    a.window = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind >= kActionKindCount)
-      throw std::runtime_error("control log: unknown action kind");
-    a.kind = static_cast<ActionKind>(kind);
-    const std::uint64_t bits = r.u64();
-    std::memcpy(&a.value, &bits, sizeof(a.value));
-    log.actions.push_back(a);
-  }
-  if (r.pos != buf.size())
-    throw std::runtime_error("control log: trailing bytes");
-  return log;
 }
 
 }  // namespace uwp::control

@@ -5,8 +5,8 @@
 // arguments and the config captured at construction, and must write only
 // the ShardControls it is handed. No wall-clock reads, no RNG, no
 // allocation-order dependence — the determinism pin (ControlLog byte
-// identity at any shard/worker/thread count, exact re-execution over a
-// replayed counter plane) holds exactly as long as every policy obeys this.
+// identity at any worker/thread count, exact re-execution over the same
+// snapshot sequence) holds exactly as long as every policy obeys this.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +24,9 @@ struct ControlConfig {
   bool arena = true;
   bool shaper = true;
   bool solver = true;
-  // Decision cadence in telemetry windows of virtual time. The fleet driver
-  // uses this directly as ticks-per-window; serve mode scales by
-  // tick_period_s exactly like the telemetry factory does.
+  // Ignored; kept because perfbench/ assigns it. The decision cadence is
+  // the telemetry collector's window: fleet::Server folds the counter
+  // plane's own windows (see TelemetryOptions::window).
   std::size_t window_ticks = 16;
   // ArenaTunerPolicy: evictions per window that count as a storm (raises
   // free-list retention), and the retention band it moves within.

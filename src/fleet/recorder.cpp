@@ -1,11 +1,9 @@
 #include "fleet/recorder.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 
-#include "control/engine.hpp"
 #include "telemetry/collector.hpp"
 
 namespace uwp::fleet {
@@ -220,17 +218,12 @@ Replayer::Replayer(FleetTrace trace)
       throw WireError("fleet trace: sessions out of order");
 }
 
-Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
-                                        const control::ControlConfig* control,
-                                        const control::ShardControls* baseline) const {
+Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry) const {
   ReplayResult out;
   std::vector<SessionMetrics> metrics(trace_.sessions.size());
 
   telemetry::Collector* const col =
       telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
-  if (control != nullptr && col == nullptr)
-    throw std::invalid_argument(
-        "Replayer: control re-execution requires enabled telemetry");
   if (col != nullptr) col->open(1);
   telemetry::ShardStream* const tel = col != nullptr ? &col->stream(0) : nullptr;
 
@@ -285,26 +278,6 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
     // whose time is still the stream's current window.
     if (session.active()) session.evict(arena);
     metrics[id] = session.take_metrics();
-  }
-
-  if (control != nullptr) {
-    // Re-execute the control fold offline over the rebuilt counter plane.
-    // The window count is the live fleet's: ceil(total_ticks / window_ticks)
-    // with total_ticks from the regenerated workload — the same pure
-    // function of the workload the live run used. The collector must carry
-    // the live run's window length for the pages to line up.
-    const std::size_t window_ticks = std::max<std::size_t>(1, control->window_ticks);
-    std::size_t total_ticks = 0;
-    for (const sim::GroupScenario& sc : workload_)
-      total_ticks = std::max(total_ticks, sc.admit_tick + sc.lifetime_rounds);
-    const std::uint64_t n_windows =
-        total_ticks == 0 ? 0 : (total_ticks + window_ticks - 1) / window_ticks;
-    std::vector<telemetry::Snapshot> snaps;
-    snaps.reserve(static_cast<std::size_t>(n_windows));
-    for (std::uint64_t w = 0; w < n_windows; ++w)
-      snaps.push_back(col->window_snapshot(w));
-    out.control_log = control::ControlEngine::reexecute(
-        *control, baseline != nullptr ? *baseline : control::ShardControls{}, snaps);
   }
 
   out.fleet = finalize_fleet_result(std::move(metrics));

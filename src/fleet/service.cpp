@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 
-#include "control/engine.hpp"
 #include "fleet/recorder.hpp"
 #include "telemetry/collector.hpp"
 #include "util/thread_pool.hpp"
@@ -32,63 +32,39 @@ std::size_t FleetService::ticks() const {
 }
 
 FleetResult FleetService::run(SessionRecorder* recorder,
-                              telemetry::Collector* telemetry,
-                              control::ControlEngine* engine) const {
+                              telemetry::Collector* telemetry) const {
   const std::size_t n_sessions = workload_.size();
   const std::size_t shards = ThreadPool::resolve_thread_count(opts_.shards);
   const std::size_t total_ticks = ticks();
 
   telemetry::Collector* const col =
       telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
-  if (engine != nullptr && col == nullptr)
-    throw std::invalid_argument("FleetService: control requires enabled telemetry");
-  // The engine gets its own stream (index == shards) so its emissions never
-  // ride a shard's page and the counter plane stays per-producer.
-  if (col != nullptr) col->open(shards + (engine != nullptr ? 1 : 0));
-  const std::size_t window_ticks =
-      engine != nullptr ? std::max<std::size_t>(1, engine->config().window_ticks)
-                        : total_ticks;
-  if (engine != nullptr)
-    engine->bind_stream(&col->stream(shards), static_cast<double>(window_ticks));
+  if (col != nullptr) col->open(shards);
 
   std::vector<SessionMetrics> metrics(n_sessions);
   std::vector<std::vector<double>> shard_latencies(shards);
   std::vector<ShardArena> arenas(shards);
 
-  // Per-shard state persists across chunks: the control loop slices the
-  // tick timeline into window-length chunks with a quiesce point between
-  // them, and sessions/feeds/arenas must carry over. Each Session is paired
-  // with the MeasurementFeed that fills its measurements, as feed_workload
-  // pairs them on the producer side of a served run.
-  struct ShardState {
+  // One shard: the sessions with id % shards == shard, run through the full
+  // tick timeline in id order, each admitted at its admit tick, advanced by
+  // one event per tick, and evicted on the tick its lifetime is exhausted.
+  // Each Session is paired with the MeasurementFeed that fills its
+  // measurements, as feed_workload pairs them on the producer side of a
+  // served run. Sessions are independent and the recorder's per-session
+  // buffers are disjoint, so shards share nothing mutable (each telemetry
+  // stream has exactly one producer: its shard).
+  const auto shard_body = [&](std::size_t shard) {
+    std::vector<std::size_t> ids;
+    for (std::size_t id = shard; id < n_sessions; id += shards) ids.push_back(id);
     std::vector<Session> sessions;
     std::vector<MeasurementFeed> feeds;
-    std::vector<std::size_t> ids;
-  };
-  std::vector<ShardState> states(shards);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    ShardState& st = states[shard];
-    for (std::size_t id = shard; id < n_sessions; id += shards) st.ids.push_back(id);
-    st.sessions.reserve(st.ids.size());
-    st.feeds.reserve(st.ids.size());
-    for (const std::size_t id : st.ids) {
-      st.sessions.emplace_back(workload_[id], opts_.master_seed);
-      st.feeds.emplace_back(workload_[id], opts_.master_seed);
+    sessions.reserve(ids.size());
+    feeds.reserve(ids.size());
+    for (const std::size_t id : ids) {
+      sessions.emplace_back(workload_[id], opts_.master_seed);
+      feeds.emplace_back(workload_[id], opts_.master_seed);
     }
-  }
 
-  // One shard over one tick range: the sessions with id % shards == shard,
-  // in id order, each admitted at its admit tick, advanced by one event per
-  // tick, and evicted on the tick its lifetime is exhausted. Sessions are
-  // independent and the recorder's per-session buffers are disjoint, so
-  // shards share nothing mutable (each telemetry stream has exactly one
-  // producer: its shard). `apply` folds the engine's current knob bundle in
-  // first — every fleet-side knob is result-neutral, so sessions admitted
-  // mid-chunk (which run with the previous bundle until the next boundary)
-  // cannot perturb FleetResult either.
-  const auto run_chunk = [&](std::size_t shard, std::size_t tick_begin,
-                             std::size_t tick_end, bool apply) {
-    ShardState& st = states[shard];
     ShardArena& arena = arenas[shard];
     SessionHooks hooks;
     hooks.recorder = recorder;
@@ -96,15 +72,11 @@ FleetResult FleetService::run(SessionRecorder* recorder,
     if (opts_.measure_latency) hooks.latencies = &shard_latencies[shard];
     telemetry::ShardStream* const tel = hooks.telemetry;
     arena.set_telemetry(tel);
-    if (apply) {
-      arena.set_controls(engine->controls());
-      for (Session& s : st.sessions) s.apply_controls(engine->controls());
-    }
-    for (std::size_t tick = tick_begin; tick < tick_end; ++tick) {
+    for (std::size_t tick = 0; tick < total_ticks; ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      for (std::size_t k = 0; k < st.sessions.size(); ++k) {
-        Session& s = st.sessions[k];
-        MeasurementFeed& feed = st.feeds[k];
+      for (std::size_t k = 0; k < sessions.size(); ++k) {
+        Session& s = sessions[k];
+        MeasurementFeed& feed = feeds[k];
         if (feed.exhausted()) continue;
         if (!s.active()) {
           if (tick < s.scenario().admit_tick) continue;
@@ -123,57 +95,22 @@ FleetResult FleetService::run(SessionRecorder* recorder,
         }
       }
     }
+
+    for (std::size_t k = 0; k < ids.size(); ++k)
+      metrics[ids[k]] = sessions[k].take_metrics();
   };
 
-  const bool parallel = shards > 1 && n_sessions > 1;
   std::unique_ptr<ThreadPool> pool;
-  if (parallel) pool = std::make_unique<ThreadPool>(shards);
+  if (shards > 1 && n_sessions > 1) pool = std::make_unique<ThreadPool>(shards);
 
   const auto t0 = std::chrono::steady_clock::now();
-  // Without an engine this collapses to a single full-timeline chunk — the
-  // historical (and control-off) execution exactly. With one, each
-  // parallel_for return is the happens-before edge that makes the closed
-  // window's counter pages safe to merge.
-  std::uint64_t window = 0;
-  bool apply = false;
-  std::size_t tick = 0;
-  while (tick < total_ticks) {
-    const std::size_t end =
-        engine != nullptr ? std::min(total_ticks, tick + window_ticks) : total_ticks;
-    if (parallel) {
-      pool->parallel_for(shards, [&](std::size_t shard) {
-        run_chunk(shard, tick, end, apply);
-      });
-    } else {
-      for (std::size_t shard = 0; shard < shards; ++shard)
-        run_chunk(shard, tick, end, apply);
-    }
-    apply = false;
-    if (engine != nullptr) {
-      while ((window + 1) * window_ticks <= end) {
-        engine->observe_window(window, col->window_snapshot(window));
-        ++window;
-        apply = true;
-      }
-    }
-    tick = end;
-  }
-  // Observe the final partial window, if any, so the log's window count is
-  // a pure function of the workload (never of chunking arithmetic).
-  if (engine != nullptr && total_ticks > 0) {
-    const std::uint64_t n_windows =
-        (total_ticks + window_ticks - 1) / window_ticks;
-    while (window < n_windows) {
-      engine->observe_window(window, col->window_snapshot(window));
-      ++window;
-    }
+  if (pool != nullptr) {
+    pool->parallel_for(shards, shard_body);
+  } else {
+    for (std::size_t shard = 0; shard < shards; ++shard) shard_body(shard);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  for (std::size_t shard = 0; shard < shards; ++shard)
-    for (std::size_t k = 0; k < states[shard].ids.size(); ++k)
-      metrics[states[shard].ids[k]] = states[shard].sessions[k].take_metrics();
 
   arena_stats_ = {};
   for (const ShardArena& a : arenas) {

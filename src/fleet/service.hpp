@@ -21,10 +21,6 @@ class Collector;
 struct TelemetryReport;
 }
 
-namespace uwp::control {
-class ControlEngine;
-}
-
 namespace uwp::fleet {
 
 class SessionRecorder;  // recorder.hpp
@@ -62,17 +58,12 @@ class FleetService {
   // service's workload). `telemetry`, when given and enabled, is opened
   // with one stream per shard; counter events carry the tick as virtual
   // time, so the collector's counters section is bit-identical at any shard
-  // count. `engine`, when given (requires enabled telemetry — throws
-  // std::invalid_argument otherwise), turns the run into window-length
-  // chunks: at each window boundary every shard quiesces, the engine folds
-  // the closed window's merged counter snapshot, and the resulting knob
-  // bundle is applied to every shard before the next chunk. All fleet-side
-  // knobs are result-neutral, so FleetResult stays bit-identical to the
-  // uncontrolled run and across shard counts; the ControlLog is likewise
-  // shard-count invariant. Thread-safe internally; call from one thread.
+  // count. Each shard runs its whole slice of the timeline in one pass with
+  // no quiesce points; the control plane is a fleet::Server feature (serve
+  // with admit_all shaping to run this workload under it). Thread-safe
+  // internally; call from one thread.
   FleetResult run(SessionRecorder* recorder = nullptr,
-                  telemetry::Collector* telemetry = nullptr,
-                  control::ControlEngine* engine = nullptr) const;
+                  telemetry::Collector* telemetry = nullptr) const;
 
   // Arena accounting of the last run (summed over shards): how many session
   // admissions there were, how many were served by rebinding an evicted

@@ -1,16 +1,14 @@
 // The control plane's contract (src/control/README.md): every decision is a
 // pure function of (window index, counter snapshot, config); the ControlLog
-// is byte-identical at any shard/worker count; every fleet-side knob is
-// result-neutral; and a recorded run's log re-derives exactly from the
-// counter plane a Replayer rebuilds.
+// is byte-identical at any worker count; every fleet-side knob is
+// result-neutral; and re-running the fold over the same snapshots
+// reproduces the log exactly.
 #include "control/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <initializer_list>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -35,51 +33,6 @@ telemetry::Snapshot snap_with(
   s.window = window;
   for (const auto& [c, v] : vals) s.counts[static_cast<std::size_t>(c)] = v;
   return s;
-}
-
-// --- log codec --------------------------------------------------------------
-
-TEST(ControlLog, CodecRoundTripsBitExactly) {
-  ControlLog log;
-  log.windows_observed = 7;
-  log.actions.push_back({0, ActionKind::kArenaCachePolicy,
-                         static_cast<double>(CachePolicy::kLfu)});
-  log.actions.push_back({2, ActionKind::kArenaRetain, 16.0});
-  log.actions.push_back({3, ActionKind::kShaperRate, 6.25});
-  log.actions.push_back({3, ActionKind::kShaperBurst, 10.0});
-  log.actions.push_back({5, ActionKind::kSearchThreads, 4.0});
-  // A value whose bit pattern must survive exactly.
-  log.actions.push_back({6, ActionKind::kShaperRate, 0.1 + 0.2});
-
-  std::stringstream ss;
-  write_control_log(ss, log);
-  const ControlLog back = read_control_log(ss);
-  EXPECT_TRUE(bit_equal(log, back));
-  EXPECT_EQ(control_log_digest(log), control_log_digest(back));
-}
-
-TEST(ControlLog, ReaderRejectsCorruption) {
-  ControlLog log;
-  log.windows_observed = 1;
-  log.actions.push_back({0, ActionKind::kArenaRetain, 8.0});
-  std::stringstream ss;
-  write_control_log(ss, log);
-  std::string bytes = ss.str();
-
-  {
-    std::string bad = bytes;
-    bad[0] ^= 0xFF;  // magic
-    std::stringstream in(bad);
-    EXPECT_THROW(read_control_log(in), std::runtime_error);
-  }
-  {
-    std::stringstream in(bytes.substr(0, bytes.size() - 3));  // truncated
-    EXPECT_THROW(read_control_log(in), std::runtime_error);
-  }
-  {
-    std::stringstream in(bytes + "x");  // trailing bytes
-    EXPECT_THROW(read_control_log(in), std::runtime_error);
-  }
 }
 
 // --- policy folds -----------------------------------------------------------
@@ -248,77 +201,6 @@ void expect_fleet_bits(const fleet::FleetResult& a, const fleet::FleetResult& b)
     EXPECT_TRUE(a.sessions[i].bit_equal(b.sessions[i])) << "session " << i;
 }
 
-TEST(ControlFleet, ResultNeutralAndShardCountInvariant) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;
-  const ShardControls base;
-  const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(churn_params(24));
-
-  fleet::FleetOptions opts;
-  opts.shards = 1;
-  const fleet::FleetService serial(opts, workload);
-  const fleet::FleetResult plain = serial.run();
-
-  telemetry::Collector col1(fleet_tel_options(4.0));
-  ControlEngine e1(cfg, base);
-  const fleet::FleetResult controlled1 = serial.run(nullptr, &col1, &e1);
-
-  opts.shards = 4;
-  const fleet::FleetService sharded(opts, workload);
-  telemetry::Collector col4(fleet_tel_options(4.0));
-  ControlEngine e4(cfg, base);
-  const fleet::FleetResult controlled4 = sharded.run(nullptr, &col4, &e4);
-
-  // Result-neutral: the controlled runs produce the uncontrolled bits.
-  expect_fleet_bits(plain, controlled1);
-  expect_fleet_bits(plain, controlled4);
-
-  // The log is shard-count invariant, bit for bit, and covers every window
-  // of the workload's timeline.
-  EXPECT_TRUE(bit_equal(e1.log(), e4.log()));
-  EXPECT_EQ(control_log_digest(e1.log()), control_log_digest(e4.log()));
-  const std::size_t ticks = serial.ticks();
-  EXPECT_EQ(e1.log().windows_observed, (ticks + 3) / 4);
-
-  // The engine stream emitted its bookkeeping counters.
-  const telemetry::TelemetryReport rep = col1.report();
-  EXPECT_EQ(rep.totals[static_cast<std::size_t>(Counter::kControlWindows)],
-            e1.log().windows_observed);
-}
-
-TEST(ControlFleet, ReplayReexecutesTheLogExactly) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;
-  const ShardControls base;
-  const sim::WorkloadParams params = churn_params(16);
-  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
-
-  fleet::FleetOptions opts;
-  opts.shards = 3;
-  const fleet::FleetService service(opts, workload);
-  fleet::SessionRecorder recorder(opts.master_seed, params, workload);
-  telemetry::Collector col(fleet_tel_options(4.0));
-  ControlEngine engine(cfg, base);
-  const fleet::FleetResult live = service.run(&recorder, &col, &engine);
-  ASSERT_FALSE(engine.log().actions.empty());
-
-  // Round-trip the trace through the codec, then replay with a fresh
-  // collector: the rebuilt counter plane must re-derive the live log.
-  std::stringstream ss;
-  recorder.write(ss);
-  const fleet::Replayer replayer(fleet::read_fleet_trace(ss));
-  telemetry::Collector replay_col(fleet_tel_options(4.0));
-  const fleet::Replayer::ReplayResult replayed =
-      replayer.replay(&replay_col, &cfg, &base);
-
-  EXPECT_EQ(replayed.result_mismatches, 0u);
-  expect_fleet_bits(live, replayed.fleet);
-  EXPECT_TRUE(bit_equal(engine.log(), replayed.control_log));
-}
-
 // The Replayer drives the same Session/ShardArena executor as the live
 // service, so the counter plane it rebuilds (leases, admits, evicts, coasts,
 // rounds, solver counters, window by window) equals the live one at any
@@ -368,7 +250,6 @@ fleet::ServerResult serve_controlled(const std::vector<sim::GroupScenario>& work
 TEST(ControlServe, LogAndResultWorkerCountInvariantUnderShaping) {
   ControlConfig cfg;
   cfg.enabled = true;
-  cfg.window_ticks = 4;  // collector window below must match
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(churn_params(16));
 
@@ -411,6 +292,53 @@ TEST(ControlServe, LogAndResultWorkerCountInvariantUnderShaping) {
   for (const ControlAction& a : e1.log().actions)
     if (a.kind == ActionKind::kShaperRate) retuned = true;
   EXPECT_TRUE(retuned);
+}
+
+// Fleet-side knobs are result-neutral: with shaping off, a controlled serve
+// run reproduces FleetService::run bit for bit, at any worker count, while
+// the engine really does retune the arena or solver knobs.
+TEST(ControlServe, UnshapedControlledServeIsBitIdenticalToFleetService) {
+  ControlConfig cfg;
+  cfg.enabled = true;
+  const std::vector<sim::GroupScenario> workload =
+      sim::make_workload(churn_params(24));
+
+  fleet::FleetOptions fo;
+  fo.shards = 1;
+  const fleet::FleetResult plain = fleet::FleetService(fo, workload).run();
+
+  fleet::ServerOptions opts;
+  opts.master_seed = fo.master_seed;
+  opts.shaping.policy = fleet::AdmissionPolicy::kAdmitAll;
+  const ShardControls base;
+
+  opts.workers = 1;
+  telemetry::Collector col1(fleet_tel_options(4.0));
+  ControlEngine e1(cfg, base);
+  const fleet::ServerResult r1 = serve_controlled(workload, opts, col1, e1);
+
+  opts.workers = 3;
+  telemetry::Collector col3(fleet_tel_options(4.0));
+  ControlEngine e3(cfg, base);
+  const fleet::ServerResult r3 = serve_controlled(workload, opts, col3, e3);
+
+  expect_fleet_bits(plain, r1.fleet);
+  expect_fleet_bits(plain, r3.fleet);
+  EXPECT_EQ(r1.stats.shaper.rounds_shed, 0u);
+
+  EXPECT_TRUE(bit_equal(e1.log(), e3.log()));
+  EXPECT_EQ(control_log_digest(e1.log()), control_log_digest(e3.log()));
+  bool fleet_side = false;
+  for (const ControlAction& a : e1.log().actions)
+    if (a.kind == ActionKind::kArenaCachePolicy || a.kind == ActionKind::kArenaRetain ||
+        a.kind == ActionKind::kSearchThreads)
+      fleet_side = true;
+  EXPECT_TRUE(fleet_side);
+
+  // The engine stream emitted one kControlWindows per observed window.
+  const telemetry::TelemetryReport rep = col1.report();
+  EXPECT_EQ(rep.totals[static_cast<std::size_t>(Counter::kControlWindows)],
+            e1.log().windows_observed);
 }
 
 }  // namespace

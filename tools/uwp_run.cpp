@@ -32,11 +32,14 @@
 //                  as-is in Perfetto / chrome://tracing; span structure is
 //                  deterministic, wall-clock timing is not
 //   --control-log-out=FILE
-//                  fleet/serve only: force-enable the self-tuning control
+//                  serve only: force-enable the self-tuning control
 //                  plane (and telemetry, which drives it) and write the
 //                  ControlLog as JSON — every window-boundary decision the
 //                  policy engine took. The document is deterministic:
-//                  byte-identical at any --threads (CI diffs exactly that)
+//                  byte-identical at any --threads (CI diffs exactly that).
+//                  Control in fleet mode (this flag or control.enabled) is
+//                  rejected with exit 2: serve with admit_all shaping
+//                  instead, which reproduces fleet mode bit for bit
 //   --print-spec   dump the normalized spec (defaults filled in) and exit
 //
 // Every output path is probed (opened for append) before the run starts, so
@@ -271,7 +274,7 @@ Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
 
 // The whole document is the deterministic plane: the ControlLog is a pure
 // function of (window index, counter snapshot, control config), so these
-// bytes are identical at any shard/worker/thread count — CI diffs the file.
+// bytes are identical at any worker/thread count — CI diffs the file.
 Json control_log_to_json(const uwp::config::ScenarioSpec& spec,
                          const uwp::control::ControlLog& log) {
   Json actions = Json::array();
@@ -481,10 +484,9 @@ Json fleet_metrics_json(const uwp::fleet::FleetResult& res, Json& timing) {
 
 Json run_fleet(const uwp::config::ScenarioSpec& spec, Json& timing,
                uwp::telemetry::Collector* telemetry,
-               uwp::control::ControlEngine* engine,
                uwp::fleet::FleetResult& fleet_out) {
   const uwp::fleet::FleetService service = uwp::config::make_fleet_service(spec);
-  fleet_out = service.run(nullptr, telemetry, engine);
+  fleet_out = service.run(nullptr, telemetry);
   return fleet_metrics_json(fleet_out, timing);
 }
 
@@ -600,6 +602,13 @@ int main(int argc, char** argv) {
   if (int rc = probe_writable(args.control_path, "--control-log-out")) return rc;
 
   const bool control_run = !args.control_path.empty() || spec.control.enabled;
+  if (control_run && spec.mode == uwp::config::RunMode::kFleet) {
+    std::fprintf(stderr,
+                 "uwp_run: the control plane (control.enabled / --control-log-out) "
+                 "runs only in serve mode; use --mode=serve, with admit_all "
+                 "shaping to reproduce fleet mode bit for bit\n");
+    return 2;
+  }
   const bool telemetry_run = !args.telemetry_path.empty() ||
                              !args.slo_path.empty() || !args.trace_path.empty() ||
                              spec.telemetry.enabled || control_run;
@@ -650,7 +659,7 @@ int main(int argc, char** argv) {
         metrics = run_des(spec, timing);
         break;
       case uwp::config::RunMode::kFleet:
-        metrics = run_fleet(spec, timing, collector.get(), engine.get(), fleet_res);
+        metrics = run_fleet(spec, timing, collector.get(), fleet_res);
         break;
       case uwp::config::RunMode::kServe:
         metrics = run_serve(spec, timing, collector.get(), engine.get(), fleet_res);
