@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "fleet/recorder.hpp"
@@ -24,80 +25,70 @@ FleetService::FleetService(FleetOptions opts, std::vector<sim::GroupScenario> wo
   }
 }
 
-std::size_t FleetService::ticks() const {
-  std::size_t t = 0;
-  for (const sim::GroupScenario& sc : workload_)
-    t = std::max(t, sc.admit_tick + sc.lifetime_rounds);
-  return t;
-}
-
 FleetResult FleetService::run(SessionRecorder* recorder,
                               telemetry::Collector* telemetry) const {
   const std::size_t n_sessions = workload_.size();
   const std::size_t shards = ThreadPool::resolve_thread_count(opts_.shards);
-  const std::size_t total_ticks = ticks();
 
   telemetry::Collector* const col =
       telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
   if (col != nullptr) col->open(shards);
 
   std::vector<SessionMetrics> metrics(n_sessions);
-  std::vector<std::vector<double>> shard_latencies(shards);
+  std::vector<std::vector<double>> lane_latencies(shards);
   std::vector<ShardArena> arenas(shards);
 
-  // One shard: the sessions with id % shards == shard, run through the full
-  // tick timeline in id order, each admitted at its admit tick, advanced by
-  // one event per tick, and evicted on the tick its lifetime is exhausted.
-  // Each Session is paired with the MeasurementFeed that fills its
-  // measurements, as feed_workload pairs them on the producer side of a
-  // served run. Sessions are independent and the recorder's per-session
-  // buffers are disjoint, so shards share nothing mutable (each telemetry
-  // stream has exactly one producer: its shard).
-  const auto shard_body = [&](std::size_t shard) {
-    std::vector<std::size_t> ids;
-    for (std::size_t id = shard; id < n_sessions; id += shards) ids.push_back(id);
-    std::vector<Session> sessions;
-    std::vector<MeasurementFeed> feeds;
-    sessions.reserve(ids.size());
-    feeds.reserve(ids.size());
-    for (const std::size_t id : ids) {
-      sessions.emplace_back(workload_[id], opts_.master_seed);
-      feeds.emplace_back(workload_[id], opts_.master_seed);
-    }
+  // Largest groups first (Algorithm 1's cost grows steeply with group size),
+  // then longest tenancies, then id: the expensive sessions start early and
+  // the cheap ones fill the lanes' tails.
+  std::vector<std::size_t> order(n_sessions);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const sim::GroupScenario& x = workload_[a];
+    const sim::GroupScenario& y = workload_[b];
+    if (x.scene.protocol.num_devices != y.scene.protocol.num_devices)
+      return x.scene.protocol.num_devices > y.scene.protocol.num_devices;
+    if (x.lifetime_rounds != y.lifetime_rounds)
+      return x.lifetime_rounds > y.lifetime_rounds;
+    return a < b;
+  });
 
-    ShardArena& arena = arenas[shard];
+  // One session's whole tenancy on the lane that pulled it: admitted at its
+  // admit tick, advanced by one event per tick, and evicted on the tick its
+  // lifetime is exhausted. The Session is paired with the MeasurementFeed
+  // that fills its measurements, as feed_workload pairs them on the producer
+  // side of a served run. Sessions are independent and the recorder's
+  // per-session buffers are disjoint, so lanes share nothing mutable (each
+  // arena and telemetry stream has exactly one producer: its lane).
+  const auto session_body = [&](std::size_t lane, std::size_t k) {
+    const sim::GroupScenario& sc = workload_[order[k]];
+    Session s(sc, opts_.master_seed);
+    MeasurementFeed feed(sc, opts_.master_seed);
+    ShardArena& arena = arenas[lane];
     SessionHooks hooks;
     hooks.recorder = recorder;
-    hooks.telemetry = col != nullptr ? &col->stream(shard) : nullptr;
-    if (opts_.measure_latency) hooks.latencies = &shard_latencies[shard];
+    hooks.telemetry = col != nullptr ? &col->stream(lane) : nullptr;
+    if (opts_.measure_latency) hooks.latencies = &lane_latencies[lane];
     telemetry::ShardStream* const tel = hooks.telemetry;
     arena.set_telemetry(tel);
-    for (std::size_t tick = 0; tick < total_ticks; ++tick) {
+    for (std::size_t tick = sc.admit_tick; !feed.exhausted(); ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      for (std::size_t k = 0; k < sessions.size(); ++k) {
-        Session& s = sessions[k];
-        MeasurementFeed& feed = feeds[k];
-        if (feed.exhausted()) continue;
-        if (!s.active()) {
-          if (tick < s.scenario().admit_tick) continue;
-          s.admit(arena, hooks);
-          feed.open();
-        }
-        const double dt = feed.next_dt_s();
-        if (feed.next(s.measurement()) == MeasurementFeed::Event::kCoast) {
-          s.coast(dt);
-        } else {
-          s.run_round(static_cast<std::uint32_t>(s.metrics().rounds), dt);
-        }
-        if (feed.exhausted()) {
-          s.evict(arena);
-          feed.close();
-        }
+      if (!s.active()) {
+        s.admit(arena, hooks);
+        feed.open();
+      }
+      const double dt = feed.next_dt_s();
+      if (feed.next(s.measurement()) == MeasurementFeed::Event::kCoast) {
+        s.coast(dt);
+      } else {
+        s.run_round(static_cast<std::uint32_t>(s.metrics().rounds), dt);
+      }
+      if (feed.exhausted()) {
+        s.evict(arena);
+        feed.close();
       }
     }
-
-    for (std::size_t k = 0; k < ids.size(); ++k)
-      metrics[ids[k]] = sessions[k].take_metrics();
+    metrics[sc.session_id] = s.take_metrics();
   };
 
   std::unique_ptr<ThreadPool> pool;
@@ -105,9 +96,9 @@ FleetResult FleetService::run(SessionRecorder* recorder,
 
   const auto t0 = std::chrono::steady_clock::now();
   if (pool != nullptr) {
-    pool->parallel_for(shards, shard_body);
+    pool->parallel_for_lanes(n_sessions, session_body);
   } else {
-    for (std::size_t shard = 0; shard < shards; ++shard) shard_body(shard);
+    for (std::size_t k = 0; k < n_sessions; ++k) session_body(0, k);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -125,7 +116,7 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   FleetResult out = finalize_fleet_result(std::move(metrics));
   out.wall_seconds = wall;
   out.shards_used = shards;
-  for (const std::vector<double>& lat : shard_latencies)
+  for (const std::vector<double>& lat : lane_latencies)
     out.round_latency_s.insert(out.round_latency_s.end(), lat.begin(), lat.end());
   return out;
 }

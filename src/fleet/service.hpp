@@ -1,12 +1,13 @@
-// The sharded multi-session positioning service: owns the lifecycle of
-// thousands of concurrent positioning groups, partitioned across shards by
-// session id and executed on a util::ThreadPool (one worker per shard).
-// Sessions are fully independent — each consumes only its two private rng
-// streams — so a shard can run its slice of the timeline start to finish
-// without synchronizing, and the aggregate (collected in session-id order)
-// is bit-identical at ANY shard count, including the serial shards = 1
-// reference. This is the serving-side restatement of sim::SweepRunner's
-// determinism contract.
+// The multi-session positioning service: owns the lifecycle of thousands of
+// concurrent positioning groups and runs them on a util::ThreadPool. Each
+// session runs its whole tenancy (admit -> one event per tick -> evict) on
+// whichever thread pulls it next, largest groups first, so a few expensive
+// groups cannot pile up on one thread. Sessions are fully independent —
+// each consumes only its two private rng streams, and counter events carry
+// the tick as virtual time — so the aggregate (collected in session-id
+// order) and the counter plane are bit-identical at ANY thread count,
+// including the serial shards = 1 reference. This is the serving-side
+// restatement of sim::SweepRunner's determinism contract.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,8 @@ class SessionRecorder;  // recorder.hpp
 
 struct FleetOptions {
   std::uint64_t master_seed = 0x75770517u;
-  // 0 = one shard per hardware thread; 1 = serial reference path.
+  // Worker threads (each with its own arena and telemetry stream) that pull
+  // sessions; 0 = one per hardware thread, 1 = the serial reference path.
   std::size_t shards = 0;
   // Record the wall-clock of every run_round call into
   // FleetResult::round_latency_s (for the bench's p50/p99 reporting).
@@ -49,23 +51,19 @@ class FleetService {
   const FleetOptions& options() const { return opts_; }
   const std::vector<sim::GroupScenario>& workload() const { return workload_; }
 
-  // Ticks the scheduler needs to drain every session: max over sessions of
-  // admit_tick + lifetime_rounds.
-  std::size_t ticks() const;
-
   // Run every session to eviction. `recorder`, when given, captures the
   // whole run as a replayable trace (it must have been constructed for this
   // service's workload). `telemetry`, when given and enabled, is opened
-  // with one stream per shard; counter events carry the tick as virtual
-  // time, so the collector's counters section is bit-identical at any shard
-  // count. Each shard runs its whole slice of the timeline in one pass with
-  // no quiesce points; the control plane is a fleet::Server feature (serve
-  // with admit_all shaping to run this workload under it). Thread-safe
-  // internally; call from one thread.
+  // with one stream per thread; counter events carry the tick as virtual
+  // time, so the collector's counters section is bit-identical at any
+  // thread count even though a stream's time jumps back at each new
+  // session. There are no quiesce points; the control plane is a
+  // fleet::Server feature (serve with admit_all shaping to run this
+  // workload under it). Thread-safe internally; call from one thread.
   FleetResult run(SessionRecorder* recorder = nullptr,
                   telemetry::Collector* telemetry = nullptr) const;
 
-  // Arena accounting of the last run (summed over shards): how many session
+  // Arena accounting of the last run (summed over threads): how many session
   // admissions there were, how many were served by rebinding an evicted
   // session's warm pipeline instead of allocating a fresh one, and the
   // free-list hit/miss split underneath (hits == reuses; misses are cold

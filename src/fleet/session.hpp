@@ -113,11 +113,12 @@ struct SessionRuntime {
   explicit SessionRuntime(const pipeline::PipelineOptions& opts) : pipe(opts) {}
 };
 
-// Per-shard free list of SessionRuntimes keyed by group size: an evicted
+// Per-thread free list of SessionRuntimes keyed by group size: an evicted
 // session's pipeline is rebound to the next admitted group of the same size
 // instead of reallocated, so steady-state churn performs near-zero heap
 // allocation inside the solver stack. Single-threaded by construction (one
-// arena per shard, shards never share sessions).
+// arena per fleet thread or server worker, and a tenancy never changes
+// thread).
 //
 // The free lists are the control plane's cache: set_controls() switches the
 // replacement policy (LRU exact-LIFO, the historical default; LFU
@@ -187,7 +188,7 @@ pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc);
 // The client side of a session: the deterministic event stream its devices
 // produce — dropout draws, closed-form motion, front-end sampling — with no
 // serving-side state attached. The live FleetService couples producer and
-// consumer in-process (each Session is paired with a feed on its shard); the
+// consumer in-process (each Session is paired with a feed on its thread); the
 // ingest server's workload feeder runs the same feed on the producer side of
 // a Transport. Both paths consume the identical measurement rng stream, so a
 // served fleet is bit-identical to the synchronous one on the same

@@ -113,8 +113,10 @@ void Collector::flight_dump(std::size_t stream, FlightRing& fr,
                             std::uint64_t window) {
   const std::size_t ti = static_cast<std::size_t>(trig);
   if (fr.dumps >= opts_.flight.max_dumps) return;
-  if (fr.last_dump_window[ti] == window) return;  // once per window/trigger
-  fr.last_dump_window[ti] = window;
+  if (window >= fr.windows.size()) fr.windows.resize(window + 1);
+  bool& dumped = fr.windows[window].dumped[ti];
+  if (dumped) return;  // once per window/trigger
+  dumped = true;
   ++fr.dumps;
   FlightDump d;
   d.stream = stream;
@@ -145,27 +147,27 @@ void Collector::flight_observe(std::size_t stream, FlightRing& fr,
   // Windowed trigger counts; the window key mirrors the counter plane's.
   const double w = std::floor(e.t / (opts_.window > 0.0 ? opts_.window : 1.0));
   const std::uint64_t window = w > 0.0 ? static_cast<std::uint64_t>(w) : 0;
-  if (window != fr.window) {
-    fr.window = window;
-    fr.counts.fill(0);
-  }
+  fr.window = window;
+  if (window >= fr.windows.size()) fr.windows.resize(window + 1);
+  std::array<std::uint64_t, kFlightTriggerCount>& counts =
+      fr.windows[window].counts;
   const Counter c = static_cast<Counter>(e.id);
   const std::uint64_t delta = static_cast<std::uint64_t>(e.value);
   if (c == Counter::kEvicts) {
     const std::size_t ti = static_cast<std::size_t>(FlightTrigger::kEvictStorm);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.evict_storm)
+    counts[ti] += delta;
+    if (counts[ti] >= opts_.flight.evict_storm)
       flight_dump(stream, fr, FlightTrigger::kEvictStorm, e.t, window);
   } else if (c == Counter::kIngestShed) {
     const std::size_t ti = static_cast<std::size_t>(FlightTrigger::kShedBurst);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.shed_burst)
+    counts[ti] += delta;
+    if (counts[ti] >= opts_.flight.shed_burst)
       flight_dump(stream, fr, FlightTrigger::kShedBurst, e.t, window);
   } else if (c == Counter::kLocalizeFailures) {
     const std::size_t ti =
         static_cast<std::size_t>(FlightTrigger::kSolverStall);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.localize_failures)
+    counts[ti] += delta;
+    if (counts[ti] >= opts_.flight.localize_failures)
       flight_dump(stream, fr, FlightTrigger::kSolverStall, e.t, window);
   }
 }
@@ -206,8 +208,7 @@ void Collector::drain_locked() {
       const std::uint64_t dropped = s.bus().dropped();
       if (dropped > fr.dropped_seen) {
         fr.dropped_seen = dropped;
-        flight_dump(si, fr, FlightTrigger::kRingOverflow, s.time(),
-                    fr.window == ~0ull ? 0 : fr.window);
+        flight_dump(si, fr, FlightTrigger::kRingOverflow, s.time(), fr.window);
       }
     }
   }

@@ -241,12 +241,17 @@ class Collector {
     std::vector<Event> ring;  // circular, `next` is the oldest slot
     std::size_t next = 0;
     bool full = false;
-    std::uint64_t window = ~0ull;  // window the counts below belong to
-    std::array<std::uint64_t, kFlightTriggerCount> counts{};
-    std::array<std::uint64_t, kFlightTriggerCount> last_dump_window;
+    // Trigger counts and the once-per-window dump guard, indexed by window
+    // like the counter pages: a stream's virtual time need not be monotonic
+    // (a fleet thread restarts it at each session's admit tick).
+    struct Window {
+      std::array<std::uint64_t, kFlightTriggerCount> counts{};
+      std::array<bool, kFlightTriggerCount> dumped{};
+    };
+    std::vector<Window> windows;
+    std::uint64_t window = 0;  // window of the latest counter event
     std::uint64_t dropped_seen = 0;
     std::size_t dumps = 0;
-    FlightRing() { last_dump_window.fill(~0ull); }
   };
 
   void drain_locked();

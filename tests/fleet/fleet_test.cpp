@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "des/scenario.hpp"
@@ -190,6 +193,65 @@ TEST(FleetService, WarmStartCountersAreDeterministicAndMostlyHits) {
       EXPECT_EQ(hits, ref_hits);
       EXPECT_EQ(misses, ref_misses);
     }
+  }
+}
+
+// The schedule starts sessions largest group first, whatever their ids. With
+// a mixed workload's 8-device groups at the highest ids (the last ones an
+// id-ordered scheduler would reach), the result, the counter plane and the
+// recorded trace bytes must not depend on the thread count. Each thread runs
+// one session at a time, so its arena holds at most one runtime per group
+// size and cold constructions are bounded by threads x distinct sizes.
+TEST(FleetService, LargestFirstScheduleIsBitIdenticalAndHoldsOneRuntimePerLane) {
+  sim::WorkloadParams params = small_params(40, 0x1A26u);
+  params.max_group_size = 8;
+  std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+  std::stable_partition(workload.begin(), workload.end(),
+                        [](const sim::GroupScenario& sc) {
+                          return sc.scene.protocol.num_devices != 8;
+                        });
+  std::set<std::size_t> sizes;
+  std::size_t eights = 0;
+  for (std::size_t id = 0; id < workload.size(); ++id) {
+    workload[id].session_id = id;
+    sizes.insert(workload[id].scene.protocol.num_devices);
+    if (workload[id].scene.protocol.num_devices == 8) ++eights;
+  }
+  ASSERT_GT(eights, 0u);
+  ASSERT_LT(eights, workload.size());
+  ASSERT_EQ(workload.back().scene.protocol.num_devices, 8u);
+
+  FleetResult reference;
+  telemetry::TelemetryReport ref_report;
+  std::string ref_trace;
+  for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
+    FleetOptions fo;
+    fo.master_seed = 0x1A7Eu;
+    fo.shards = shards;
+    FleetService service(fo, workload);
+    SessionRecorder recorder(fo.master_seed, params, workload);
+    telemetry::TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = false;
+    telemetry::Collector col(topts);
+    const FleetResult r = service.run(&recorder, &col);
+    const telemetry::TelemetryReport report = col.report();
+    std::ostringstream trace;
+    recorder.write(trace);
+
+    EXPECT_EQ(service.arena_stats().leases, workload.size());
+    EXPECT_LE(service.arena_stats().free_misses, shards * sizes.size())
+        << "shards=" << shards;
+    if (shards == 1) {
+      reference = r;
+      ref_report = report;
+      ref_trace = trace.str();
+      EXPECT_GT(r.localized, 0u);
+      continue;
+    }
+    expect_bit_identical(reference, r);
+    EXPECT_TRUE(report.counters_equal(ref_report)) << "shards=" << shards;
+    EXPECT_EQ(trace.str(), ref_trace) << "shards=" << shards;
   }
 }
 

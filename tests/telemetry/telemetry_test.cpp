@@ -578,6 +578,36 @@ TEST(FlightRecorder, RingOverflowTriggerFiresOnDrops) {
   EXPECT_TRUE(saw_overflow);
 }
 
+// A fleet thread restarts its stream's virtual time at each session's admit
+// tick, so consecutive counter events may alternate between windows. Each
+// window still accumulates its own trigger count and dumps once, on the
+// event that reaches the threshold.
+TEST(FlightRecorder, EvictStormFiresAtThresholdWhenWindowsAlternate) {
+  TelemetryOptions topts;
+  topts.enabled = true;
+  topts.window = 4.0;
+  topts.flight.evict_storm = 3;
+  Collector collector(topts);
+  collector.open(1);
+  ShardStream& s = collector.stream(0);
+  for (int i = 0; i < 5; ++i) {
+    s.set_time(1.0);  // window 0
+    s.count(Counter::kEvicts);
+    s.set_time(5.0);  // window 1
+    s.count(Counter::kEvicts);
+  }
+  const TelemetryReport rep = collector.report();
+
+  ASSERT_EQ(rep.flight.size(), 2u);
+  for (std::size_t w = 0; w < 2; ++w) {
+    const FlightDump& d = rep.flight[w];
+    EXPECT_EQ(d.trigger, FlightTrigger::kEvictStorm);
+    EXPECT_EQ(d.window, w);
+    // The third eviction of window w is event 5 (w = 0) or 6 (w = 1).
+    EXPECT_EQ(d.events.size(), 5u + w);
+  }
+}
+
 TEST(FlightRecorder, DisabledCapacityRecordsNothing) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(8));
