@@ -47,10 +47,11 @@ std::shared_ptr<const uwp::des::MobilityModel> make_mobility(std::size_t n) {
   return mob;
 }
 
-// `search_threads` parallelizes the localizer's pruned outlier-candidate
-// search (bit-identical at any count): 0 = all hardware threads — right for
-// the serial reference run; 1 = serial — right for Monte-Carlo sweeps whose
-// trials already occupy every core.
+// `search_threads` fans the localizer's outlier-candidate solves out over the
+// calling thread's pool (bit-identical at any count): 0 = all hardware
+// threads — right for the serial reference run; 1 = inline — right for
+// Monte-Carlo sweeps whose trials already occupy every core (each sweep
+// worker would otherwise keep a pool of its own).
 uwp::des::DesScenario make_scenario(std::size_t n, std::size_t rounds,
                                     std::size_t search_threads = 1) {
   uwp::des::DesScenarioConfig cfg;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+
+#include "util/thread_pool.hpp"
 
 namespace uwp::core {
 
@@ -22,6 +25,30 @@ bool advance_subset(std::vector<std::size_t>& idx, std::size_t n) {
     if (i == 0) return false;
   }
   return false;
+}
+
+// Scratch for one candidate solve.
+struct SearchLane {
+  SmacofWorkspace smacof;
+  SmacofResult result;
+  Matrix w;
+  Rng rng{0};  // never drawn from (warm solves have no restarts)
+};
+
+struct SearchPool {
+  std::unique_ptr<ThreadPool> pool;  // none until a search asks for > 1 thread
+  std::vector<SearchLane> lanes;     // one per pool worker; lane 0 runs inline
+};
+
+// The calling thread's fan-out for a search at `threads` (resolved, >= 1).
+// The pool is recreated only when a search asks for a different count above
+// one, so search threads stay bounded by localizing threads x search_threads.
+SearchPool& search_pool(std::size_t threads) {
+  thread_local SearchPool sp;
+  if (threads > 1 && (sp.pool == nullptr || sp.pool->size() != threads))
+    sp.pool = std::make_unique<ThreadPool>(threads);
+  if (sp.lanes.size() < threads) sp.lanes.resize(threads);
+  return sp;
 }
 
 }  // namespace
@@ -140,8 +167,8 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
   ws.bound.reset(dist, weights, links);
   // A candidate whose stress bound already fails the acceptance test cannot
   // be accepted, whatever its solve would return (see the header). The test
-  // does not depend on the other candidates, so the serial and parallel
-  // searches skip the same ones.
+  // does not depend on the other candidates, so the same ones are skipped at
+  // any search_threads.
   const auto hopeless = [&](const std::vector<std::size_t>& subset) {
     const double lb = ws.bound.bound(subset);
     return !(e0 - lb > opts.drop_ratio * e0);
@@ -176,17 +203,15 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
     pool.resize(opts.max_suspect_links);
     std::sort(pool.begin(), pool.end());  // keep enumeration order stable
   }
-  // Warm candidate solves draw nothing from `rng`, so either regime can fan
-  // candidates across a pool; the reduction below walks candidates in
+  // Warm candidate solves draw nothing from `rng`, so they can fan out over
+  // the calling thread's pool; the reduction below walks candidates in
   // enumeration order, making the result bit-identical at any thread count.
-  const std::size_t search_threads =
-      opts.search_threads != 1 ? ThreadPool::resolve_thread_count(opts.search_threads)
-                               : 1;
-
-  Matrix& w = ws.w;
+  const std::size_t threads = ThreadPool::resolve_thread_count(opts.search_threads);
+  SearchPool& sp = search_pool(threads);
+  std::vector<std::size_t>& flat = ws.flat_subsets;
+  std::vector<std::size_t>& subset = ws.subset;
   std::vector<Edge>& remaining = ws.remaining;
   std::vector<Vec2>& p_min = ws.p_min;
-  SmacofResult& cand = ws.cand;
 
   for (int ndrop = 1; ndrop <= opts.max_outliers; ++ndrop) {
     double e_min = e0;
@@ -199,117 +224,72 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
     std::vector<std::size_t>& slots = ws.subset_slots;
     slots.resize(k);
     for (std::size_t i = 0; i < k; ++i) slots[i] = i;
-    std::vector<std::size_t>& subset = ws.subset;
 
-    if (search_threads > 1) {
-      // Materialize this level's candidate subsets that the bound does not
-      // rule out (link indices, flattened k at a time, in enumeration order).
-      std::vector<std::size_t>& flat = ws.flat_subsets;
-      flat.clear();
-      bool more = true;
-      while (more) {
-        subset.resize(k);
-        for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
-        more = advance_subset(slots, pool.size());
-        if (hopeless(subset)) {
-          ++out.candidates_pruned;
-          continue;
-        }
-        flat.insert(flat.end(), subset.begin(), subset.end());
+    // 1. This level's candidate subsets that the bound does not rule out
+    // (link indices, flattened k at a time, in enumeration order).
+    flat.clear();
+    bool more = true;
+    while (more) {
+      subset.resize(k);
+      for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
+      more = advance_subset(slots, pool.size());
+      if (hopeless(subset)) {
+        ++out.candidates_pruned;
+        continue;
       }
-      const std::size_t m = flat.size() / k;
-      ws.cand_stress.resize(m);
-      ws.cand_iters.resize(m);
-      if (!ws.search_pool || ws.search_pool->size() != search_threads)
-        ws.search_pool = std::make_unique<ThreadPool>(search_threads);
-      if (ws.lanes.size() < ws.search_pool->size())
-        ws.lanes.resize(ws.search_pool->size());
-      ws.search_pool->parallel_for_lanes(m, [&](std::size_t lane_idx, std::size_t ci) {
-        OutlierWorkspace::SearchLane& lane = ws.lanes[lane_idx];
-        lane.w = weights;
-        for (std::size_t t = 0; t < k; ++t) {
-          const Edge& e = links[flat[ci * k + t]];
-          lane.w(e.first, e.second) = 0.0;
-          lane.w(e.second, e.first) = 0.0;
-        }
-        smacof_2d_into(lane.result, dist, lane.w, warm, lane.rng, &p0, lane.smacof);
-        ws.cand_stress[ci] = lane.result.normalized_stress;
-        ws.cand_iters[ci] = lane.result.iterations;
-      });
-      // Integer sum in enumeration order: thread-count invariant.
-      for (std::size_t ci = 0; ci < m; ++ci) out.iterations += ws.cand_iters[ci];
-      out.candidate_solves += static_cast<std::int64_t>(m);
-      // Serial reduction in enumeration order, replicating the serial
-      // accept logic (including when realizability gets checked).
-      std::size_t best_ci = std::numeric_limits<std::size_t>::max();
-      for (std::size_t ci = 0; ci < m; ++ci) {
-        const double ns = ws.cand_stress[ci];
-        const bool significant = e0 - ns > opts.drop_ratio * e0;
-        if (!significant || ns >= e_min) continue;
-        subset.assign(flat.begin() + static_cast<std::ptrdiff_t>(ci * k),
-                      flat.begin() + static_cast<std::ptrdiff_t>((ci + 1) * k));
-        remaining.clear();
-        for (std::size_t li = 0; li < links.size(); ++li)
-          if (std::find(subset.begin(), subset.end(), li) == subset.end())
-            remaining.push_back(links[li]);
-        if (!is_uniquely_realizable_2d(n, remaining)) continue;
-        e_min = ns;
-        best_ci = ci;
+      flat.insert(flat.end(), subset.begin(), subset.end());
+    }
+    const std::size_t m = flat.size() / k;
+
+    // 2. Solve each one with its subset removed, warm from the best layout.
+    ws.cand_stress.resize(m);
+    ws.cand_iters.resize(m);
+    const auto solve = [&](SearchLane& lane, std::size_t ci) {
+      lane.w = weights;
+      for (std::size_t t = 0; t < k; ++t) {
+        const Edge& e = links[flat[ci * k + t]];
+        lane.w(e.first, e.second) = 0.0;
+        lane.w(e.second, e.first) = 0.0;
       }
-      if (best_ci != std::numeric_limits<std::size_t>::max()) {
-        subset.assign(flat.begin() + static_cast<std::ptrdiff_t>(best_ci * k),
-                      flat.begin() + static_cast<std::ptrdiff_t>((best_ci + 1) * k));
-        best_subset = subset;
-        // Re-solve the winner to recover its layout; the warm solve is
-        // deterministic, so this reproduces the lane's result exactly (and
-        // its iterations are already counted).
-        w = weights;
-        for (std::size_t li : subset) {
-          w(links[li].first, links[li].second) = 0.0;
-          w(links[li].second, links[li].first) = 0.0;
-        }
-        smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
-        p_min.assign(cand.positions.begin(), cand.positions.end());
-      }
+      smacof_2d_into(lane.result, dist, lane.w, warm, lane.rng, &p0, lane.smacof);
+      ws.cand_stress[ci] = lane.result.normalized_stress;
+      ws.cand_iters[ci] = lane.result.iterations;
+    };
+    if (threads == 1) {
+      for (std::size_t ci = 0; ci < m; ++ci) solve(sp.lanes[0], ci);
     } else {
-      bool more = true;
-      while (more) {
-        subset.resize(k);
-        for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
-        more = advance_subset(slots, pool.size());
-        if (hopeless(subset)) {
-          ++out.candidates_pruned;
-          continue;
-        }
+      sp.pool->parallel_for_lanes(
+          m, [&](std::size_t lane, std::size_t ci) { solve(sp.lanes[lane], ci); });
+    }
+    // Integer sum in enumeration order: thread-count invariant.
+    for (std::size_t ci = 0; ci < m; ++ci) out.iterations += ws.cand_iters[ci];
+    out.candidate_solves += static_cast<std::int64_t>(m);
 
-        // Build the candidate weight matrix with this subset removed.
-        w = weights;
-        remaining.clear();
-        for (std::size_t li = 0; li < links.size(); ++li) {
-          const bool dropped =
-              std::find(subset.begin(), subset.end(), li) != subset.end();
-          if (dropped) {
-            w(links[li].first, links[li].second) = 0.0;
-            w(links[li].second, links[li].first) = 0.0;
-          } else {
-            remaining.push_back(links[li]);
-          }
-        }
-        smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
-        out.iterations += cand.iterations;
-        ++out.candidate_solves;
-        const bool significant = e0 - cand.normalized_stress > opts.drop_ratio * e0;
-        if (significant && cand.normalized_stress < e_min) {
-          // Only accept when the remaining graph is still uniquely
-          // realizable — otherwise the "improvement" is just the looser
-          // problem. Checking is pricier than a warm-started solve, so it
-          // waits for candidates that actually improve the stress.
-          if (!is_uniquely_realizable_2d(n, remaining)) continue;
-          e_min = cand.normalized_stress;
-          p_min.assign(cand.positions.begin(), cand.positions.end());
-          best_subset = subset;
-        }
-      }
+    // 3. Reduce in enumeration order: the lowest significant stress wins, if
+    // the remaining graph is still uniquely realizable — otherwise the
+    // "improvement" is just the looser problem. Checking is pricier than a
+    // warm-started solve, so it waits for candidates that actually improve.
+    std::size_t best_ci = m;
+    for (std::size_t ci = 0; ci < m; ++ci) {
+      const double ns = ws.cand_stress[ci];
+      const bool significant = e0 - ns > opts.drop_ratio * e0;
+      if (!significant || ns >= e_min) continue;
+      const std::size_t* cand = &flat[ci * k];
+      remaining.clear();
+      for (std::size_t li = 0; li < links.size(); ++li)
+        if (std::find(cand, cand + k, li) == cand + k) remaining.push_back(links[li]);
+      if (!is_uniquely_realizable_2d(n, remaining)) continue;
+      e_min = ns;
+      best_ci = ci;
+    }
+    if (best_ci != m) {
+      best_subset.assign(&flat[best_ci * k], &flat[best_ci * k] + k);
+      // Re-solve the winner to recover its layout; the warm solve is
+      // deterministic, so this reproduces its result exactly (and its
+      // iterations are already counted).
+      solve(sp.lanes[0], best_ci);
+      p_min.assign(sp.lanes[0].result.positions.begin(),
+                   sp.lanes[0].result.positions.end());
     }
 
     if (e_min < opts.stress_threshold) {

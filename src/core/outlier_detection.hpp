@@ -24,14 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/rigidity.hpp"
 #include "core/smacof.hpp"
-#include "util/thread_pool.hpp"
 
 namespace uwp::core {
 
@@ -56,12 +54,12 @@ struct OutlierOptions {
   // C(8, 2): every fully-connected group up to the paper's largest (N = 8)
   // keeps the exhaustive subset enumeration.
   std::size_t max_suspect_links = 28;
-  // Worker threads for the candidate-subset search. Candidate solves are
-  // warm-started and draw no randomness, so the fan-out is deterministic in
-  // both regimes: stresses are reduced in enumeration order and the result
-  // is bit-identical at any thread count. 1 = serial (the default — and the
-  // right setting when an outer sweep already parallelizes trials); 0 = all
-  // hardware threads.
+  // Worker threads for the candidate-subset search; 0 = all hardware
+  // threads. Candidate solves are warm-started and draw no randomness, and
+  // their stresses are reduced in enumeration order, so the result is
+  // bit-identical at any count. Above 1 the solves fan out over a pool that
+  // belongs to the calling thread, not to the workspace: however many
+  // workspaces a thread uses, it keeps at most search_threads extra threads.
   std::size_t search_threads = 1;
   SmacofOptions smacof{};
 };
@@ -74,11 +72,11 @@ struct OutlierResult {
   // Final weight matrix actually used (input weights minus dropped links).
   Matrix weights;
   // Total SMACOF iterations spent on this round (base solve + every
-  // candidate solve). A pure function of the inputs — the parallel pruned
-  // search sums per-candidate counts in enumeration order — so it is part
-  // of the deterministic telemetry plane, not a timing. Equal at any
-  // search_threads: the parallel path's re-solve of its winner repeats a
-  // counted solve and is not counted again.
+  // candidate solve). A pure function of the inputs — the search sums
+  // per-candidate counts in enumeration order — so it is part of the
+  // deterministic telemetry plane, not a timing. Equal at any
+  // search_threads. A level's winner is solved again to recover its layout;
+  // that repeats a counted solve and is not counted again.
   std::int64_t iterations = 0;
   // Candidate subsets solved with SMACOF, and candidates skipped because the
   // triangle stress bound proves they cannot be accepted. Both are pure
@@ -121,31 +119,22 @@ OutlierResult localize_with_outlier_detection(const Matrix& dist, const Matrix& 
                                               const OutlierOptions& opts, uwp::Rng& rng,
                                               const std::vector<Vec2>* init = nullptr);
 
-// Reusable scratch for the workspace variant. Two SMACOF workspaces: the
-// base one keeps its V^+ cache warm across rounds (clean rounds repeat the
-// same weight pattern); candidate solves churn through their own so they
-// never evict it.
+// Reusable scratch for the workspace variant. The base solve's SMACOF
+// workspace keeps its V^+ cache warm across rounds (clean rounds repeat the
+// same weight pattern); candidate solves run in the calling thread's search
+// lanes, so they never evict it.
 struct OutlierWorkspace {
-  SmacofWorkspace smacof_base, smacof_cand;
-  SmacofResult base, cand;
+  SmacofWorkspace smacof_base;
+  SmacofResult base;
   std::vector<Edge> links, remaining;
   std::vector<std::size_t> pool, subset_slots, subset, best_subset, dropped_so_far;
   std::vector<double> residual;
   std::vector<Vec2> p0, p_min;
-  Matrix w;  // candidate weight matrix
   TriangleStressBound bound;
 
-  // Parallel pruned-search state (used when search_threads != 1): one lane
-  // of scratch per pool worker, a flattened subset list, and the per-
-  // candidate stresses reduced serially in enumeration order.
-  struct SearchLane {
-    SmacofWorkspace smacof;
-    SmacofResult result;
-    Matrix w;
-    Rng rng{0};  // never drawn from (warm solves have no restarts)
-  };
-  std::unique_ptr<ThreadPool> search_pool;
-  std::vector<SearchLane> lanes;
+  // One search level: the candidate subsets the bound does not rule out
+  // (flattened, in enumeration order) and their solved stresses and
+  // iteration counts, reduced in that order.
   std::vector<std::size_t> flat_subsets;
   std::vector<double> cand_stress;
   std::vector<std::int64_t> cand_iters;

@@ -79,10 +79,11 @@ class RoundPipeline {
   // throws std::invalid_argument like the constructor.
   void rebind(const PipelineOptions& opts);
 
-  // Retune the pruned outlier search's fan-out without a full rebind — the
-  // control plane's solver knob. Result-neutral: the parallel pruned search
-  // is bit-identical at any thread count, so this never changes outputs,
-  // only wall-clock. No-op when `n` already matches.
+  // Retune the outlier search's fan-out without a full rebind — the control
+  // plane's solver knob. The pool it sizes belongs to the thread that runs
+  // the round, not to this pipeline. Result-neutral: the search is
+  // bit-identical at any thread count, so this never changes outputs, only
+  // wall-clock. No-op when `n` is 0 or already matches.
   void set_search_threads(std::size_t n);
 
   // The §2.4 payload quantization table this pipeline applies, exposed so

@@ -1,7 +1,7 @@
-// Fixed-size work-queue thread pool shared by the Monte-Carlo sweep engine
-// and any future batch workload. Deliberately simple — a mutex-guarded FIFO,
-// no work stealing — because sweep trials are coarse (milliseconds to
-// seconds each) and queue contention is negligible at that granularity.
+// Fixed-size work-queue thread pool for the sweep engine's trials,
+// FleetService's session lanes and the Algorithm 1 candidate-search fan-out
+// (one pool per calling thread). Deliberately simple — a mutex-guarded FIFO,
+// no work stealing — because each parallel_for lane is one queued task.
 #pragma once
 
 #include <cstddef>

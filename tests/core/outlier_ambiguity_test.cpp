@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <thread>
 
 #include "core/ambiguity.hpp"
 #include "core/outlier_detection.hpp"
@@ -228,6 +231,85 @@ TEST(TriangleStressBound, NonFiniteSidesContributeNothing) {
   uwp::Rng rng(7);
   const OutlierResult res = localize_with_outlier_detection(d, w, {}, rng);
   EXPECT_EQ(res.positions.size(), 4u);
+}
+
+// Seven devices with two occluded links: the base stress is far above the
+// threshold, and Algorithm 1 drops one link at each of two levels.
+Matrix searched_input() {
+  const std::vector<Vec2> truth = {{0, 0},  {12, 0}, {5, 11}, {-9, 6},
+                                   {-5, -9}, {8, -7}, {16, 9}};
+  Matrix d = distance_matrix(truth);
+  d(0, 1) = d(1, 0) = d(0, 1) + 8.0;
+  d(2, 3) = d(3, 2) = d(2, 3) + 7.0;
+  return d;
+}
+
+std::size_t os_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+// The search pool belongs to the calling thread, not to the workspace: one
+// thread searching through many workspaces keeps at most search_threads
+// extra OS threads.
+TEST(OutlierDetection, SearchThreadsBoundedPerCallingThreadNotPerWorkspace) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc";
+  const Matrix d = searched_input();
+  const Matrix w = Matrix::ones(7, 7);
+  OutlierOptions opts;
+  opts.search_threads = 2;
+  // ThreadSanitizer starts a helper thread with the first thread a process
+  // creates; let that happen before the count is taken.
+  std::thread([] {}).join();
+  const std::size_t before = os_thread_count();
+  std::vector<OutlierWorkspace> workspaces(16);
+  for (OutlierWorkspace& ws : workspaces) {
+    uwp::Rng rng(8);
+    OutlierResult res;
+    localize_with_outlier_detection_into(res, d, w, opts, rng, ws);
+    ASSERT_GE(ws.base.normalized_stress, opts.stress_threshold);
+    ASSERT_GT(res.candidate_solves, 0);
+  }
+  EXPECT_LE(os_thread_count(), before + 2);
+}
+
+// Two threads searching at once each fan out over their own pool, and both
+// reproduce the one-thread search bit for bit.
+TEST(OutlierDetection, ConcurrentFannedSearchesMatchOneThreadSearch) {
+  const Matrix d = searched_input();
+  const Matrix w = Matrix::ones(7, 7);
+  OutlierOptions opts;
+  uwp::Rng rng(9);
+  const OutlierResult serial = localize_with_outlier_detection(d, w, opts, rng);
+  ASSERT_TRUE(serial.outliers_suspected);
+  ASSERT_EQ(serial.dropped_links.size(), 2u);  // a winner re-solved at two levels
+  opts.search_threads = 2;
+  OutlierResult fanned[2];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (OutlierResult& res : fanned)
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();  // start together
+      uwp::Rng thread_rng(9);
+      res = localize_with_outlier_detection(d, w, opts, thread_rng);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const OutlierResult& res : fanned) {
+    ASSERT_EQ(res.positions.size(), serial.positions.size());
+    for (std::size_t i = 0; i < res.positions.size(); ++i) {
+      EXPECT_EQ(res.positions[i].x, serial.positions[i].x);
+      EXPECT_EQ(res.positions[i].y, serial.positions[i].y);
+    }
+    EXPECT_EQ(res.normalized_stress, serial.normalized_stress);
+    EXPECT_EQ(res.dropped_links, serial.dropped_links);
+    EXPECT_EQ(res.iterations, serial.iterations);
+    EXPECT_EQ(res.candidate_solves, serial.candidate_solves);
+    EXPECT_EQ(res.candidates_pruned, serial.candidates_pruned);
+  }
 }
 
 TEST(Ambiguity, TranslateLeaderToOrigin) {
