@@ -568,7 +568,6 @@ Json telemetry_to_json(const TelemetrySpec& t) {
   o.set("enabled", Json::boolean(t.enabled));
   o.set("timing", Json::boolean(t.timing));
   o.set("window_ticks", u64_to_json(t.window_ticks));
-  o.set("ring_capacity", u64_to_json(t.ring_capacity));
   Json trace = Json::object();
   trace.set("enabled", Json::boolean(t.trace.enabled));
   trace.set("max_spans", u64_to_json(t.trace.max_spans));
@@ -588,7 +587,6 @@ void telemetry_from_json(const Json& v, const std::string& path, TelemetrySpec& 
   r.read("enabled", t.enabled);
   r.read("timing", t.timing);
   r.read("window_ticks", t.window_ticks);
-  r.read("ring_capacity", t.ring_capacity);
   if (const Json* j = r.take("trace")) {
     ObjectReader rt(*j, r.sub("trace"));
     rt.read("enabled", t.trace.enabled);
@@ -915,9 +913,6 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
   if (spec.telemetry.window_ticks < 1) err("telemetry.window_ticks", "must be >= 1");
   // The ring rounds up to a power of two; cap it where "capacity" stops
   // being a buffer and starts being a typo'd byte count.
-  if (spec.telemetry.ring_capacity < 1 ||
-      spec.telemetry.ring_capacity > (std::size_t{1} << 24))
-    err("telemetry.ring_capacity", "must be in [1, 16777216]");
   if (spec.telemetry.trace.max_spans < 1 ||
       spec.telemetry.trace.max_spans > (std::size_t{1} << 26))
     err("telemetry.trace.max_spans", "must be in [1, 67108864]");

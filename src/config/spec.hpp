@@ -125,8 +125,8 @@ struct FleetSpec {
 // Telemetry section (fleet/serve modes): configures the telemetry::Collector
 // a run attaches to its shard/worker loops. Counters are windowed on the
 // workload's virtual clock, so the emitted "counters" section is
-// bit-identical at any shard/worker/thread count; spans and queue-depth
-// samples ride the lossy ring and land in the run-varying "timing" section
+// bit-identical at any shard/worker/thread count; span and sample
+// histograms land in the run-varying "timing" section
 // (src/telemetry/README.md spells out the contract).
 struct TelemetrySpec {
   bool enabled = false;
@@ -137,9 +137,6 @@ struct TelemetrySpec {
   // fleet.server.tick_period_s so both modes window the same virtual
   // timeline (make_telemetry_options).
   std::size_t window_ticks = 16;
-  // Per-stream event ring capacity (rounded up to a power of two). Overflow
-  // drops events — counted, never blocking the hot path.
-  std::size_t ring_capacity = 1 << 15;
   // Causal round traces (telemetry.trace{}): per-round spans chaining
   // ingest -> queue -> batch -> pipeline stages, exported as Chrome
   // trace-event JSON by `uwp_run --trace-spans-out` (which force-enables
@@ -150,9 +147,9 @@ struct TelemetrySpec {
     std::size_t max_spans = 1 << 20;
   };
   TraceSpec trace{};
-  // Flight recorder (telemetry.flight{}): bounded per-stream ring of
-  // recently drained events, dumped on anomaly triggers. Thresholds are
-  // counter deltas per telemetry window.
+  // Flight recorder (telemetry.flight{}): bounded per-stream buffer of
+  // recent events, dumped on anomaly triggers. Thresholds are counter sums
+  // per telemetry window.
   struct FlightSpec {
     std::size_t capacity = 256;  // retained events per stream; 0 disables
     std::size_t max_dumps = 4;   // dump budget per stream

@@ -37,16 +37,17 @@ struct SearchLane {
 
 struct SearchPool {
   std::unique_ptr<ThreadPool> pool;  // none until a search asks for > 1 thread
-  std::vector<SearchLane> lanes;     // one per pool worker; lane 0 runs inline
+  std::vector<SearchLane> lanes;     // one per lane; lane 0 is the caller
 };
 
-// The calling thread's fan-out for a search at `threads` (resolved, >= 1).
-// The pool is recreated only when a search asks for a different count above
-// one, so search threads stay bounded by localizing threads x search_threads.
+// The calling thread's fan-out for a search at `threads` (resolved, >= 1):
+// the caller runs lane 0 and a pool of threads - 1 runs the rest. The pool
+// is recreated only when a search asks for a different count above one, so
+// search threads stay bounded by localizing threads x search_threads.
 SearchPool& search_pool(std::size_t threads) {
   thread_local SearchPool sp;
-  if (threads > 1 && (sp.pool == nullptr || sp.pool->size() != threads))
-    sp.pool = std::make_unique<ThreadPool>(threads);
+  if (threads > 1 && (sp.pool == nullptr || sp.pool->size() != threads - 1))
+    sp.pool = std::make_unique<ThreadPool>(threads - 1);
   if (sp.lanes.size() < threads) sp.lanes.resize(threads);
   return sp;
 }

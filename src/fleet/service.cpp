@@ -91,8 +91,10 @@ FleetResult FleetService::run(SessionRecorder* recorder,
     metrics[sc.session_id] = s.take_metrics();
   };
 
+  // The calling thread runs lane 0, so `shards` lanes take shards - 1 pool
+  // threads.
   std::unique_ptr<ThreadPool> pool;
-  if (shards > 1 && n_sessions > 1) pool = std::make_unique<ThreadPool>(shards);
+  if (shards > 1 && n_sessions > 1) pool = std::make_unique<ThreadPool>(shards - 1);
 
   const auto t0 = std::chrono::steady_clock::now();
   if (pool != nullptr) {

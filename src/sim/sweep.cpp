@@ -94,7 +94,7 @@ SweepResult SweepRunner::run(const ContextFactory& make_context,
   if (res.threads_used <= 1 || opts_.trials <= 1) {
     for (std::size_t t = 0; t < opts_.trials; ++t) run_trial(0, t);
   } else {
-    ThreadPool pool(res.threads_used);
+    ThreadPool pool(res.threads_used - 1);  // the calling thread is lane 0
     pool.parallel_for_lanes(opts_.trials, run_trial);
   }
   const auto t1 = std::chrono::steady_clock::now();

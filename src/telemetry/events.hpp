@@ -1,4 +1,4 @@
-// Typed telemetry events for the fleet observability bus.
+// Typed telemetry events for the fleet observability plane.
 //
 // Every instrumented site emits one of three event families, and the family
 // decides which side of the metrics-vs-timing JSON contract the data lands
@@ -8,10 +8,10 @@
 //     (fleet tick, or a served frame's t_s). Counters are accumulated
 //     producer-locally and merged per virtual-time window, so their sums
 //     are bit-identical at any shard/worker/thread count. They are never
-//     dropped, whatever the ring sizing.
+//     dropped.
 //   * Stage — wall-clock span durations from scoped timers around pipeline
-//     and ingest stages. Wall time is inherently run-varying; spans ride
-//     the lossy ring and feed log-bucket histograms (p50/p99/p999).
+//     and ingest stages. Wall time is inherently run-varying; spans feed
+//     the producer's log-bucket histograms (p50/p99/p999).
 //   * Sample — run-varying scalar observations (live queue depth, arena
 //     free-list reuse) whose values depend on scheduling, not the spec.
 //   * TraceOp — causal round-trace spans. Each traced round carries one
@@ -19,8 +19,8 @@
 //     pipeline stage; span *structure* (which ops fired, parent links,
 //     virtual time) is deterministic, wall-clock start/duration is not.
 //
-// The Event struct itself is a 32-byte POD so pushes compile to a handful
-// of stores; `ref` carries the trace id for kTraceSpan events.
+// The Event struct is the flight recorder's 32-byte POD record; `ref`
+// carries the trace id for kTraceSpan events.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +105,7 @@ enum class EventKind : std::uint8_t {
   kTraceSpan = 3,
 };
 
-// One ring slot. `id` is the Counter/Stage/Sample/TraceOp enum value for
+// One flight-recorder slot. `id` is the Counter/Stage/Sample/TraceOp enum value for
 // `kind`; `t` is virtual time for counters/trace spans and don't-care for
 // stage spans/samples; `value` is the counter delta, span seconds, or
 // sample value; `ref` is the trace id for kTraceSpan and 0 otherwise.

@@ -70,7 +70,7 @@ void ThreadPool::parallel_for(std::size_t n,
 void ThreadPool::parallel_for_lanes(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  const std::size_t lanes = std::min(size(), n);
+  const std::size_t lanes = std::min(size() + 1, n);
   if (lanes <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
@@ -78,32 +78,36 @@ void ThreadPool::parallel_for_lanes(
 
   struct Shared {
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining;
+    std::atomic<std::size_t> remaining;  // pool lanes still running
     std::mutex mu;
     std::condition_variable done;
     std::exception_ptr error;  // first exception thrown by any index
   };
   auto shared = std::make_shared<Shared>();
-  shared->remaining.store(lanes);
-
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    submit([shared, n, lane, &body] {
-      for (;;) {
-        const std::size_t i = shared->next.fetch_add(1);
-        if (i >= n) break;
-        try {
-          body(lane, i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          if (!shared->error) shared->error = std::current_exception();
-        }
+  shared->remaining.store(lanes - 1);
+  const auto run_lane = [n, &body](Shared& sh, std::size_t lane) {
+    for (;;) {
+      const std::size_t i = sh.next.fetch_add(1);
+      if (i >= n) break;
+      try {
+        body(lane, i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(sh.mu);
+        if (!sh.error) sh.error = std::current_exception();
       }
+    }
+  };
+
+  for (std::size_t lane = 1; lane < lanes; ++lane) {
+    submit([shared, lane, &run_lane] {
+      run_lane(*shared, lane);
       if (shared->remaining.fetch_sub(1) == 1) {
         std::lock_guard<std::mutex> lock(shared->mu);
         shared->done.notify_all();
       }
     });
   }
+  run_lane(*shared, 0);
 
   std::unique_lock<std::mutex> lock(shared->mu);
   shared->done.wait(lock, [&] { return shared->remaining.load() == 0; });

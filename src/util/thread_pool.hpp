@@ -31,16 +31,18 @@ class ThreadPool {
   // Block until the queue is empty and every worker is idle.
   void wait_idle();
 
-  // Run body(i) for i in [0, n) across the pool and block until done.
-  // Indices are handed out dynamically (atomic counter), so load imbalance
-  // between trials self-corrects. If any invocation throws, the first
-  // exception is rethrown here after all workers finish. Must be called
-  // from outside the pool's own workers (no nesting).
+  // Run body(i) for i in [0, n) on the calling thread plus the pool's
+  // workers, and block until done. Indices are handed out dynamically
+  // (atomic counter), so load imbalance between trials self-corrects. If any
+  // invocation throws, the first exception is rethrown here after every
+  // lane finishes. Must be called from outside the pool's own workers (no
+  // nesting).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   // Like parallel_for, but the body also receives the executing lane index
-  // (0 .. min(size(), n) - 1; each lane is one submitted worker task), so
-  // callers can maintain per-lane scratch state without locking.
+  // (0 .. min(size() + 1, n) - 1), so callers can keep per-lane scratch
+  // state without locking. Lane 0 is the calling thread; lanes 1.. are one
+  // submitted worker task each, so k lanes need a pool of k - 1 threads.
   void parallel_for_lanes(std::size_t n,
                           const std::function<void(std::size_t lane, std::size_t i)>& body);
 

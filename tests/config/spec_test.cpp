@@ -129,7 +129,6 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.telemetry.enabled = rng.bernoulli(0.5);
   s.telemetry.timing = rng.bernoulli(0.5);
   s.telemetry.window_ticks = static_cast<std::size_t>(rng.uniform_int(1, 64));
-  s.telemetry.ring_capacity = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
   s.telemetry.trace.enabled = rng.bernoulli(0.5);
   s.telemetry.trace.max_spans = static_cast<std::size_t>(rng.uniform_int(1, 1 << 20));
   s.telemetry.flight.capacity = static_cast<std::size_t>(rng.uniform_int(0, 1 << 10));
@@ -215,6 +214,9 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
   expect_parse_error(R"({"sweep": 17})", "sweep");
   expect_parse_error(R"({"telemetry": {"window": 4}})", "telemetry.window");
   expect_parse_error(R"({"telemetry": {"enabled": 1}})", "telemetry.enabled");
+  // Telemetry has no event ring to size: the field fails like any unknown one.
+  expect_parse_error(R"({"telemetry": {"ring_capacity": 32768}})",
+                     "telemetry.ring_capacity");
   expect_parse_error(R"({"telemetry": {"trace": {"max_span": 1}}})",
                      "telemetry.trace.max_span");
   expect_parse_error(R"({"telemetry": {"flight": {"capacity": true}}})",
@@ -413,16 +415,6 @@ TEST(SpecValidate, TelemetryFieldsReportTheirPaths) {
     ScenarioSpec s;
     s.telemetry.window_ticks = 0;
     expect_invalid(s, "telemetry.window_ticks");
-  }
-  {
-    ScenarioSpec s;
-    s.telemetry.ring_capacity = 0;
-    expect_invalid(s, "telemetry.ring_capacity");
-  }
-  {
-    ScenarioSpec s;
-    s.telemetry.ring_capacity = (std::size_t{1} << 24) + 1;
-    expect_invalid(s, "telemetry.ring_capacity");
   }
   {
     ScenarioSpec s;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -63,6 +65,26 @@ TEST(ThreadPool, ParallelForRethrowsFirstException) {
   std::atomic<int> again{0};
   pool.parallel_for(10, [&again](std::size_t) { again.fetch_add(1); });
   EXPECT_EQ(again.load(), 10);
+}
+
+// k lanes take k - 1 pool threads: the calling thread runs lane 0.
+TEST(ThreadPool, CallingThreadRunsLaneZero) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ids[2];
+  std::atomic<bool> lane1_ran{false};
+  pool.parallel_for_lanes(2, [&](std::size_t lane, std::size_t) {
+    ids[lane] = std::this_thread::get_id();
+    if (lane == 1) lane1_ran = true;
+    // Lane 0 holds its index until lane 1 has taken the other one, so both
+    // lanes run (bounded, so a broken pool fails instead of hanging).
+    for (int ms = 0; lane == 0 && !lane1_ran && ms < 10000; ++ms)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_EQ(ids[0], caller);
+  ASSERT_TRUE(lane1_ran.load());
+  EXPECT_NE(ids[1], caller);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillCompletesWork) {

@@ -20,8 +20,8 @@
 //                  telemetry on even if the spec leaves it disabled) and
 //                  write its report — virtual-time-windowed counters under
 //                  "counters" (bit-identical at any --threads), span/sample
-//                  histograms, ring drop accounting, and flight-recorder
-//                  dumps under "timing"
+//                  histograms over every round and flight-recorder dumps
+//                  under "timing"
 //   --slo-out=FILE fleet/serve only: write the SLO scoreboard — the
 //                  deterministic counter/error reducer under "slo"
 //                  (bit-identical at any --threads; CI byte-diffs exactly
@@ -207,9 +207,8 @@ Json flight_event_to_json(const uwp::telemetry::Event& e) {
 // The telemetry document mirrors the metrics document's split: "counters"
 // is the deterministic plane (virtual-time-windowed sums, bit-identical at
 // any shard/worker/thread count — CI diffs exactly this object), "timing"
-// is the run-varying plane (span/sample histograms, ring drop accounting,
-// trace-span accounting, and flight-recorder dumps — dumps ride the lossy
-// ring, so their contents are best-effort by design).
+// is the run-varying plane (span/sample histograms, trace-span accounting,
+// and flight-recorder dumps).
 Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
                               const uwp::telemetry::TelemetryReport& rep) {
   namespace tel = uwp::telemetry;
@@ -254,8 +253,6 @@ Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
 
   Json timing = Json::object();
   timing.set("streams", uwp::config::u64_to_json(rep.streams));
-  timing.set("events", uwp::config::u64_to_json(rep.events));
-  timing.set("dropped", uwp::config::u64_to_json(rep.dropped));
   timing.set("trace_spans", uwp::config::u64_to_json(rep.trace.size()));
   timing.set("trace_dropped", uwp::config::u64_to_json(rep.trace_dropped));
   timing.set("spans", std::move(spans));
@@ -697,13 +694,10 @@ int main(int argc, char** argv) {
   doc.set("timing", std::move(timing));
 
   if (collector != nullptr) {
-    // One report drains everything; the telemetry, trace, and SLO documents
-    // are all views over the same drained state.
+    // One report merges every stream; the telemetry, trace, and SLO
+    // documents are all views over it.
     const uwp::telemetry::TelemetryReport rep = collector->report();
-    std::printf("telemetry: %zu streams, %llu events (%llu dropped), "
-                "%zu counter windows\n",
-                rep.streams, static_cast<unsigned long long>(rep.events),
-                static_cast<unsigned long long>(rep.dropped),
+    std::printf("telemetry: %zu streams, %zu counter windows\n", rep.streams,
                 rep.snapshots.size());
     if (!rep.flight.empty())
       std::printf("flight recorder: %zu dumps\n", rep.flight.size());
