@@ -54,56 +54,223 @@ SearchPool& search_pool(std::size_t threads) {
 
 }  // namespace
 
-void TriangleStressBound::reset(const Matrix& dist, const Matrix& weights,
-                                const std::vector<Edge>& links) {
+namespace {
+
+// The Cayley-Menger determinant of four points as a cubic in the squared
+// sides D (order 01 02 03 12 13 23): the sum of c * D[v0] D[v1] D[v2].
+struct Monomial {
+  double c;
+  std::size_t v[3];
+};
+constexpr Monomial kCayleyMenger[22] = {
+    {-2, {0, 0, 5}}, {-2, {0, 1, 3}}, {2, {0, 1, 4}},  {2, {0, 1, 5}},  {2, {0, 2, 3}},
+    {-2, {0, 2, 4}}, {2, {0, 2, 5}},  {2, {0, 3, 5}},  {2, {0, 4, 5}},  {-2, {0, 5, 5}},
+    {-2, {1, 1, 4}}, {2, {1, 2, 3}},  {2, {1, 2, 4}},  {-2, {1, 2, 5}}, {2, {1, 3, 4}},
+    {-2, {1, 4, 4}}, {2, {1, 4, 5}},  {-2, {2, 2, 3}}, {-2, {2, 3, 3}}, {2, {2, 3, 4}},
+    {2, {2, 3, 5}},  {-2, {3, 4, 5}}};
+
+// Its constant third derivative T[l][m][n], flattened, so that H = T . D,
+// g = H . D / 2 and f = g . D / 3 (Euler's identities for a homogeneous
+// cubic).
+constexpr std::array<double, 216> third_derivative() {
+  constexpr std::size_t kPerm[6][3] = {{0, 1, 2}, {0, 2, 1}, {1, 0, 2},
+                                       {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
+  std::array<double, 216> t{};
+  for (const Monomial& m : kCayleyMenger)
+    for (const auto& p : kPerm) t[(m.v[p[0]] * 6 + m.v[p[1]]) * 6 + m.v[p[2]]] += m.c;
+  return t;
+}
+constexpr std::array<double, 216> kThird = third_derivative();
+constexpr bool third_derivative_within_4() {
+  for (double x : kThird)
+    if (x > 4.0 || x < -4.0) return false;
+  return true;
+}
+static_assert(third_derivative_within_4(), "the K4 certificate assumes |T_lmn| <= 4");
+
+
+// Root-finding budget for S_q: at most this many certificate tests, fewer
+// once the bracket on sqrt(S_q) is within kRootRelTol of its upper end.
+constexpr int kRootSteps = 12;
+constexpr double kRootRelTol = 1e-3;
+
+}  // namespace
+
+double k4_planar_stress_bound(const std::array<double, 6>& d,
+                              const std::array<double, 6>& w, double floor) {
+  constexpr double kU = std::numeric_limits<double>::epsilon() / 2;
+  std::array<double, 6> dd{};
+  for (std::size_t e = 0; e < 6; ++e) dd[e] = d[e] * d[e];
+  // hess f, grad f and f at D, each with the same sum over magnitudes.
+  std::array<double, 36> h{}, h_abs{};
+  for (std::size_t lm = 0; lm < 36; ++lm) {
+    double s = 0.0, s_abs = 0.0;
+    for (std::size_t n = 0; n < 6; ++n) {
+      s += kThird[lm * 6 + n] * dd[n];
+      s_abs += std::abs(kThird[lm * 6 + n]) * dd[n];
+    }
+    h[lm] = s;
+    h_abs[lm] = s_abs;
+  }
+  std::array<double, 6> g{}, g_abs{};
+  double f = 0.0, f_abs = 0.0;
+  for (std::size_t l = 0; l < 6; ++l) {
+    double s = 0.0, s_abs = 0.0;
+    for (std::size_t m = 0; m < 6; ++m) {
+      s += h[l * 6 + m] * dd[m];
+      s_abs += h_abs[l * 6 + m] * dd[m];
+    }
+    g[l] = 0.5 * s;
+    g_abs[l] = 0.5 * s_abs;
+    f += g[l] * dd[l];
+    f_abs += g_abs[l] * dd[l];
+  }
+  f /= 3.0;
+  f_abs /= 3.0;
+  // A planar quadruple ends here: |f| is within its rounding bound of 0. NaN
+  // fails the comparison, so a non-finite side ends here too.
+  const double target = std::abs(f) - 64 * kU * f_abs;
+  if (!(target > 0.0) || !std::isfinite(target)) return 0.0;
+
+  // Upper bounds on |g_e| / sqrt(w_e) and ||H||_F.
+  std::array<double, 6> gw{}, iw{}, siw{};
+  double h_frob = 0.0;
+  for (std::size_t e = 0; e < 6; ++e) {
+    iw[e] = 1.0 / w[e];
+    siw[e] = std::sqrt(iw[e]);
+    gw[e] = (std::abs(g[e]) + 64 * kU * g_abs[e]) * siw[e];
+  }
+  for (std::size_t i = 0; i < 36; ++i) {
+    const double hi = std::abs(h[i]) + 64 * kU * h_abs[i];
+    h_frob += hi * hi;
+  }
+  h_frob = std::sqrt(h_frob);
+  // R(t^2) (1 + 2^-40) - (|f(D)| - rounding): negative exactly when the
+  // certificate holds for S = t^2. R is convex and increasing in t.
+  const auto excess = [&](double t) {
+    double sum_g = 0.0, sum_a = 0.0, max_a = 0.0;
+    for (std::size_t e = 0; e < 6; ++e) {
+      const double a = 2.0 * std::abs(d[e]) + t * siw[e];
+      sum_g += gw[e] * gw[e] * a * a;
+      const double aw = a * a * iw[e];
+      sum_a += aw;
+      max_a = std::max(max_a, aw);
+    }
+    const double r = std::sqrt(sum_g) * t + 0.5 * h_frob * max_a * t * t +
+                     (2.0 / 3.0) * sum_a * std::sqrt(sum_a) * t * t * t;
+    return r * (1.0 + 0x1p-40) - target;
+  };
+  // Bracket on t = sqrt(S_q): the cubic term alone, with a_e^2 >= t^2 / w_e,
+  // reaches |f| by t = (1.5 |f| / (sum 1 / w_e^2)^(3/2))^(1/6); the
+  // first-order term alone, with a_e >= 2 |d_e|, by
+  // |f| / sqrt(sum g_e^2 4 d_e^2 / w_e).
+  double w2 = 0.0, g0 = 0.0;
+  for (std::size_t e = 0; e < 6; ++e) {
+    w2 += iw[e] * iw[e];
+    g0 += gw[e] * gw[e] * 4.0 * dd[e];
+  }
+  double hi = std::sqrt(std::cbrt(1.5 * target / (w2 * std::sqrt(w2))));
+  if (g0 > 0.0) hi = std::min(hi, target / std::sqrt(g0));
+  if (!(hi > 0.0) || !std::isfinite(hi) || !std::isfinite(h_frob) || !(hi * hi > floor))
+    return 0.0;
+  // Regula falsi (Illinois variant) on the excess. `lo` only ever takes
+  // values whose certificate test passed, so S_q = lo^2 is proven whatever
+  // the iteration does; convexity only makes it converge.
+  double lo = 0.0, e_lo = -target, e_hi = excess(hi);
+  if (e_hi < 0.0) return hi * hi;
+  int kept = 0;  // which end the last step kept: -1 lo moved, +1 hi moved
+  for (int step = 0; step < kRootSteps && hi - lo > kRootRelTol * hi; ++step) {
+    double t = (lo * e_hi - hi * e_lo) / (e_hi - e_lo);
+    if (!(t > lo && t < hi)) t = 0.5 * (lo + hi);
+    const double e = excess(t);
+    if (e < 0.0) {
+      lo = t;
+      e_lo = e;
+      if (kept == -1) e_hi *= 0.5;
+      kept = -1;
+    } else {
+      hi = t;
+      e_hi = e;
+      if (kept == +1) e_lo *= 0.5;
+      kept = +1;
+    }
+  }
+  return lo * lo;
+}
+
+void PlanarStressBound::reset(const Matrix& dist, const Matrix& weights,
+                              const std::vector<Edge>& links) {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   const std::size_t n = dist.rows();
   num_links_ = links.size();
   link_id_.assign(n * n, kNone);
   for (std::size_t li = 0; li < links.size(); ++li)
     link_id_[links[li].first * n + links[li].second] = li;
-  triangles_.clear();
+  const auto id = [&](std::size_t i, std::size_t j) { return link_id_[i * n + j]; };
+  // The triangle bound of devices a < b < c, 0 when no violation counts.
+  const auto triangle = [&](std::size_t a, std::size_t b, std::size_t c) {
+    const double dab = dist(a, b), dac = dist(a, c), dbc = dist(b, c);
+    const double v = std::max({dab - dac - dbc, dac - dab - dbc, dbc - dab - dac});
+    const double contribution =
+        v * v / (1.0 / weights(a, b) + 1.0 / weights(a, c) + 1.0 / weights(b, c));
+    // NaN compares false and an Inf side gives an Inf or NaN contribution:
+    // either way the triangle contributes nothing.
+    return v > 0.0 && std::isfinite(contribution) && contribution > 0.0 ? contribution
+                                                                        : 0.0;
+  };
+  cliques_.clear();
   for (std::size_t a = 0; a < n; ++a)
     for (std::size_t b = a + 1; b < n; ++b) {
-      const std::size_t ab = link_id_[a * n + b];
+      const std::size_t ab = id(a, b);
       if (ab == kNone) continue;
       for (std::size_t c = b + 1; c < n; ++c) {
-        const std::size_t ac = link_id_[a * n + c];
-        const std::size_t bc = link_id_[b * n + c];
+        const std::size_t ac = id(a, c);
+        const std::size_t bc = id(b, c);
         if (ac == kNone || bc == kNone) continue;
-        const double dab = dist(a, b), dac = dist(a, c), dbc = dist(b, c);
-        const double v = std::max({dab - dac - dbc, dac - dab - dbc, dbc - dab - dac});
-        const double contribution =
-            v * v / (1.0 / weights(a, b) + 1.0 / weights(a, c) + 1.0 / weights(b, c));
-        // NaN compares false and an Inf side gives an Inf or NaN
-        // contribution: either way the triangle contributes nothing.
-        if (!(v > 0.0) || !std::isfinite(contribution) || !(contribution > 0.0))
-          continue;
-        triangles_.push_back({contribution, {ab, ac, bc}});
+        const double abc = triangle(a, b, c);
+        if (abc > 0.0) cliques_.push_back({abc, 3, {ab, ac, bc}});
+        for (std::size_t q = c + 1; q < n; ++q) {
+          const std::size_t aq = id(a, q), bq = id(b, q), cq = id(c, q);
+          if (aq == kNone || bq == kNone || cq == kNone) continue;
+          // A K4 whose bound does not beat one of its own triangles is never
+          // packed: the triangle comes first and blocks it, and whatever
+          // blocks the triangle blocks the K4. Not listing it saves its
+          // root search and keeps bound() short.
+          const double own = std::max(
+              {abc, triangle(a, b, q), triangle(a, c, q), triangle(b, c, q)});
+          const double s_q = k4_planar_stress_bound(
+              {dist(a, b), dist(a, c), dist(a, q), dist(b, c), dist(b, q), dist(c, q)},
+              {weights(a, b), weights(a, c), weights(a, q), weights(b, c),
+               weights(b, q), weights(c, q)},
+              own);
+          if (s_q > own) cliques_.push_back({s_q, 6, {ab, ac, aq, bc, bq, cq}});
+        }
       }
     }
-  // Largest first, ties in enumeration order (link ids break them uniquely).
-  std::sort(triangles_.begin(), triangles_.end(),
-            [](const Triangle& x, const Triangle& y) {
-              if (x.contribution != y.contribution)
-                return x.contribution > y.contribution;
-              return std::lexicographical_compare(x.link, x.link + 3, y.link,
-                                                  y.link + 3);
-            });
+  // Largest first, ties in enumeration order (size and link ids break them
+  // uniquely).
+  std::sort(cliques_.begin(), cliques_.end(), [](const Clique& x, const Clique& y) {
+    if (x.contribution != y.contribution) return x.contribution > y.contribution;
+    if (x.size != y.size) return x.size < y.size;
+    return std::lexicographical_compare(x.link, x.link + x.size, y.link, y.link + y.size);
+  });
 }
 
-double TriangleStressBound::bound(std::span<const std::size_t> dropped) {
-  if (triangles_.empty() || dropped.size() >= num_links_) return 0.0;
+double PlanarStressBound::bound(std::span<const std::size_t> dropped, double stop_at) {
+  if (cliques_.empty() || dropped.size() >= num_links_) return 0.0;
   used_.assign(num_links_, 0);
   for (std::size_t li : dropped) used_[li] = 1;
-  double raw = 0.0;
-  for (const Triangle& t : triangles_) {
-    if (used_[t.link[0]] || used_[t.link[1]] || used_[t.link[2]]) continue;
-    used_[t.link[0]] = used_[t.link[1]] = used_[t.link[2]] = 1;
-    raw += t.contribution;
-  }
   // Finite positive terms: the sum is finite or +Inf, never NaN.
   const double remaining = static_cast<double>(num_links_ - dropped.size());
+  double raw = 0.0;
+  for (const Clique& q : cliques_) {
+    const std::size_t* end = q.link + q.size;
+    if (std::any_of(q.link, end, [&](std::size_t li) { return used_[li] != 0; }))
+      continue;
+    for (const std::size_t* li = q.link; li != end; ++li) used_[*li] = 1;
+    raw += q.contribution;
+    if (std::sqrt(raw * (1.0 - 1e-9) / remaining) >= stop_at) break;
+  }
   return std::sqrt(raw * (1.0 - 1e-9) / remaining);
 }
 
@@ -171,7 +338,9 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
   // does not depend on the other candidates, so the same ones are skipped at
   // any search_threads.
   const auto hopeless = [&](const std::vector<std::size_t>& subset) {
-    const double lb = ws.bound.bound(subset);
+    // Any lb at or above (1 - drop_ratio) E0, with 1e-9 to spare for the
+    // rounding of the test below, fails it; the packing may stop there.
+    const double lb = ws.bound.bound(subset, (1.0 - opts.drop_ratio) * e0 * (1.0 + 1e-9));
     return !(e0 - lb > opts.drop_ratio * e0);
   };
   std::vector<Vec2>& p0 = ws.p0;

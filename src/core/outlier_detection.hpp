@@ -8,22 +8,65 @@
 // the graph not uniquely realizable are never accepted, and at most
 // `max_outliers` links are dropped.
 //
-// Hopeless candidates are skipped without a solve. Every 2D layout obeys the
-// triangle inequality, so a triangle of present links whose measured sides
-// violate it by v > 0 (longest side minus the other two) forces residuals
-// r_a - r_b - r_c >= v on its links, and by Cauchy-Schwarz a raw stress of
-// at least v^2 / (1/w_a + 1/w_b + 1/w_c). Triangles that share no link add
-// up, so greedily packing link-disjoint violated triangles that avoid a
-// candidate's dropped links gives a lower bound LB_S on the raw stress of
-// *any* layout of that candidate, and lb = sqrt(LB_S (1 - 1e-9) / #links) on
-// its normalized stress (the 1e-9 absorbs rounding in the computed stress).
-// SMACOF reports the stress of a real layout, so its result is >= lb; a
-// candidate with !(E0 - lb > drop_ratio * E0) can never pass the acceptance
-// test and is not solved. Positions, stress, dropped links and every digest
-// are bit-identical to the exhaustive search; only the solve count drops.
+// Hopeless candidates are skipped without a solve, using lower bounds on the
+// raw stress S(X) = sum_e w_e r_e^2, r_e = ||x_i - x_j|| - d_e, that *any*
+// 2D layout X puts on a small clique of present links:
+//
+// * Triangles. Every 2D layout obeys the triangle inequality, so a triangle
+//   whose measured sides violate it by v > 0 (longest side minus the other
+//   two) forces residuals r_a - r_b - r_c >= v on its links, and by
+//   Cauchy-Schwarz a raw stress of at least v^2 / (1/w_a + 1/w_b + 1/w_c).
+//
+// * Planar K4s (four devices with all six links). Let D_e = d_e^2 and let
+//   f(D) be the Cayley-Menger determinant of the quadruple: a cubic in the
+//   six squared sides with 22 monomials of coefficient +-2 (288 times the
+//   squared volume of the tetrahedron with those sides). Four points in a
+//   plane span no volume, so every 2D layout has f(D + delta) = 0 with
+//   delta_e = x_e^2 - D_e = r_e (2 d_e + r_e). A cubic's Taylor series ends
+//   at the third term, so with g = grad f(D), H = hess f(D) and the
+//   constant third derivative T (every entry |T_ijk| <= 4, twice the
+//   coefficient of a squared monomial; a static_assert checks it),
+//     |f(D)| = |g.delta + delta'H delta / 2 + T[delta, delta, delta] / 6|.
+//   Suppose a layout had sum_e w_e r_e^2 <= S. Then |r_e| <= sqrt(S / w_e),
+//   so |delta_e| <= |r_e| a_e with a_e = 2|d_e| + sqrt(S / w_e), and by
+//   Cauchy-Schwarz
+//     |g.delta|      <= sqrt(sum g_e^2 a_e^2 / w_e) sqrt(S),
+//     |delta'H delta| <= ||H||_F sum delta_e^2 <= ||H||_F max(a_e^2 / w_e) S,
+//     |T[delta^3]|   <= 4 (sum |delta_e|)^3 <= 4 (sum a_e^2 / w_e)^(3/2) S^(3/2).
+//   The right-hand side R(S) of |f(D)| <= R(S) grows with S, so every S
+//   with R(S) < |f(D)| is a strict lower bound on the K4's raw stress. S_q
+//   is the largest such S that a bounded regula falsi on t = sqrt(S) finds
+//   (R is convex in t; the search keeps only values that pass the test). A
+//   lifted, non-planar quadruple whose every triangle holds still has
+//   f(D) != 0, so K4s bound candidates no triangle can.
+//
+//   Rounding. H = T.D, g = H.D / 2 and f = g.D / 3 (Euler's identities for
+//   a homogeneous cubic) are evaluated from D = d*d, each alongside the same
+//   sum over magnitudes (F_abs for f; D >= 0). Every computed value passes
+//   through at most 22 roundings (D; a product and 5 additions per dot
+//   product; the final division), so it is within gamma_22 times its
+//   magnitude sum of the exact value. The test uses |f| - 64u F_abs
+//   (u = 2^-53, 64u > gamma_22 (1 + gamma_22) with room for the
+//   subtraction's own rounding) and g, H entries inflated by 64u times
+//   their magnitude sums; R(S) is then a chain of about 40 roundings of
+//   non-negative terms (plus S = t * t, which moves R by at most 7u
+//   relative), covered by comparing R(S) (1 + 2^-40).
+//   A side, weight or intermediate that is not finite drops the K4.
+//
+// Cliques that share no link add up, so greedily packing link-disjoint
+// triangles and K4s (largest bound first) that avoid a candidate's dropped
+// links gives a lower bound LB_S on the raw stress of any layout of that
+// candidate, and lb = sqrt(LB_S (1 - 1e-9) / #links) on its normalized
+// stress (the 1e-9 absorbs rounding in the computed stress). SMACOF reports
+// the stress of a real layout, so its result is >= lb; a candidate with
+// !(E0 - lb > drop_ratio * E0) can never pass the acceptance test and is not
+// solved. Positions, stress, dropped links and every digest are
+// bit-identical to the exhaustive search; only the solve count drops.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,36 +122,49 @@ struct OutlierResult {
   // that repeats a counted solve and is not counted again.
   std::int64_t iterations = 0;
   // Candidate subsets solved with SMACOF, and candidates skipped because the
-  // triangle stress bound proves they cannot be accepted. Both are pure
+  // planar stress bound proves they cannot be accepted. Both are pure
   // functions of the inputs, equal at any search_threads.
   std::int64_t candidate_solves = 0;
   std::int64_t candidates_pruned = 0;
 };
 
-// The triangle-inequality stress bound (see the top of this file) for one
-// round's link set. reset() lists the violated triangles once; bound() then
-// answers per candidate subset in O(#triangles).
-class TriangleStressBound {
+// The planar stress bound (see the top of this file) for one round's link
+// set. reset() lists the bounding triangles and K4s once; bound() then
+// answers per candidate subset in O(#cliques).
+class PlanarStressBound {
  public:
-  // `links` is the i < j, weights(i, j) > 0 link set of `weights`. A triangle
-  // counts only when all three links are present and its sides, weights and
-  // contribution are finite, so a NaN or Inf side contributes nothing.
+  // `links` is the i < j, weights(i, j) > 0 link set of `weights`. A clique
+  // counts only when all its links are present and its sides, weights and
+  // bound are finite, so a NaN or Inf side contributes nothing.
   void reset(const Matrix& dist, const Matrix& weights, const std::vector<Edge>& links);
   // Lower bound on SMACOF's normalized stress with links[dropped[i]] removed
   // (`dropped` holds distinct indices into `links`). Never NaN; 0 when no
-  // violated triangle survives the drop.
-  double bound(std::span<const std::size_t> dropped);
+  // bounding clique survives the drop. The packing stops as soon as the
+  // bound reaches `stop_at`, so a result >= stop_at may be below the full
+  // packing's.
+  double bound(std::span<const std::size_t> dropped,
+               double stop_at = std::numeric_limits<double>::infinity());
 
  private:
-  struct Triangle {
-    double contribution;  // v^2 / (1/w_a + 1/w_b + 1/w_c)
-    std::size_t link[3];
+  struct Clique {
+    double contribution;  // lower bound on the raw stress on its links
+    std::size_t size;     // 3 (triangle) or 6 (K4) links
+    std::size_t link[6];
   };
-  std::vector<Triangle> triangles_;  // by contribution, descending
+  std::vector<Clique> cliques_;  // by contribution, descending
   std::vector<std::size_t> link_id_;  // n x n -> index into links
   std::vector<unsigned char> used_;
   std::size_t num_links_ = 0;
 };
+
+// S_q of one K4 (see the top of this file): a lower bound on the raw stress
+// sum_e w[e] (x_e - d[e])^2 that any 2D layout puts on its six links, sides
+// in the order 01 02 03 12 13 23 of its devices. 0 when the sides are
+// planar-realizable to rounding, when a side, weight or intermediate is not
+// finite, or when the root search's bracket shows S_q cannot exceed
+// `floor`; never NaN.
+double k4_planar_stress_bound(const std::array<double, 6>& d,
+                              const std::array<double, 6>& w, double floor = 0.0);
 
 // Algorithm 1: localize with outlier detection. `dist` is the projected 2D
 // distance matrix, `weights` the initial link indicator matrix. When `init`
@@ -130,7 +186,7 @@ struct OutlierWorkspace {
   std::vector<std::size_t> pool, subset_slots, subset, best_subset, dropped_so_far;
   std::vector<double> residual;
   std::vector<Vec2> p0, p_min;
-  TriangleStressBound bound;
+  PlanarStressBound bound;
 
   // One search level: the candidate subsets the bound does not rule out
   // (flattened, in enumeration order) and their solved stresses and

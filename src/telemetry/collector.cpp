@@ -73,6 +73,7 @@ void ShardStream::count(Counter c, std::uint64_t delta) {
 }
 
 void ShardStream::sample(Sample s, double value) {
+  if (!timing_) return;
   samples_[static_cast<std::size_t>(s)].record(value);
   flight_record(Event{EventKind::kSample, static_cast<std::uint8_t>(s), time_, value});
 }

@@ -57,7 +57,8 @@ struct FlightOptions {
 struct TelemetryOptions {
   bool enabled = false;
   // Span timers read steady_clock twice per stage; disabling `timing` keeps
-  // the deterministic counter plane while skipping every clock read.
+  // the deterministic counter plane while skipping every clock read and
+  // every sample.
   bool timing = true;
   // Snapshot window in virtual-time units (ticks for the fleet driver,
   // seconds for the ingest server — the factory scales by tick_period_s).
@@ -126,6 +127,7 @@ class ShardStream {
   void set_time(double t);
 
   void count(Counter c, std::uint64_t delta = 1);
+  // A no-op when timing is off: samples belong to the run-varying plane.
   void sample(Sample s, double value);
   void span(Stage s, double seconds);
 

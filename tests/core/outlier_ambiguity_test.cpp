@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -121,23 +122,44 @@ std::vector<Edge> links_of(const Matrix& w) {
   return links;
 }
 
+// Noisy distances between n points lifted up to `lift` m out of the plane,
+// redrawn until every triangle inequality holds: the layout is not planar,
+// but no triangle can say so.
+Matrix lifted_distances(std::size_t n, double lift, uwp::Rng& rng) {
+  for (;;) {
+    std::vector<std::array<double, 3>> p(n);
+    for (auto& q : p)
+      q = {rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0), rng.uniform(-lift, lift)};
+    Matrix d(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        d(i, j) = d(j, i) = std::hypot(p[i][0] - p[j][0], p[i][1] - p[j][1],
+                                       p[i][2] - p[j][2]) +
+                            rng.normal(0.0, 0.5);
+    bool holds = true;
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = a + 1; b < n; ++b)
+        for (std::size_t c = b + 1; c < n; ++c)
+          holds = holds && d(a, b) <= d(a, c) + d(b, c) && d(a, c) <= d(a, b) + d(b, c) &&
+                  d(b, c) <= d(a, b) + d(a, c);
+    if (holds) return d;
+  }
+}
+
 // The bound is a proven lower bound on what a candidate solve can reach: for
-// random noisy layouts with injected long (occluded) links, no subset's bound
-// exceeds the normalized stress of the warm-started solve the search runs.
-TEST(TriangleStressBound, NeverExceedsWarmStartedCandidateStress) {
+// noisy layouts lifted out of the plane, with and without injected long
+// (occluded) links, no subset's bound exceeds the normalized stress of the
+// warm-started solve the search runs.
+TEST(PlanarStressBound, NeverExceedsWarmStartedCandidateStress) {
   uwp::Rng rng(41);
-  std::size_t checked = 0, binding = 0;
+  std::size_t checked = 0, binding = 0, binding_without_triangles = 0;
   for (std::size_t n = 4; n <= 8; ++n) {
-    for (int trial = 0; trial < 3; ++trial) {
-      std::vector<Vec2> truth(n);
-      for (Vec2& p : truth) p = {rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0)};
-      Matrix d = distance_matrix(truth);
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j)
-          d(i, j) = d(j, i) = d(i, j) + rng.normal(0.0, 0.5);
+    for (int trial = 0; trial < 4; ++trial) {
+      Matrix d = lifted_distances(n, 4.0, rng);
       const Matrix w = Matrix::ones(n, n);
       const std::vector<Edge> links = links_of(w);
-      const int long_links = 1 + static_cast<int>(rng.uniform(0.0, 4.0));
+      const bool injected = trial % 2 == 1;
+      const int long_links = injected ? 1 + static_cast<int>(rng.uniform(0.0, 4.0)) : 0;
       for (int l = 0; l < long_links; ++l) {
         const auto [a, b] =
             links[static_cast<std::size_t>(rng.uniform(0.0, double(links.size())))];
@@ -149,7 +171,7 @@ TEST(TriangleStressBound, NeverExceedsWarmStartedCandidateStress) {
       SmacofWorkspace sws;
       SmacofResult base, cand;
       smacof_2d_into(base, d, w, SmacofOptions{}, rng, nullptr, sws);
-      TriangleStressBound bound;
+      PlanarStressBound bound;
       bound.reset(d, w, links);
       for (std::size_t k = 1; k <= 3; ++k) {
         for (const std::vector<std::size_t>& subset : subsets_of_size(links.size(), k)) {
@@ -163,24 +185,82 @@ TEST(TriangleStressBound, NeverExceedsWarmStartedCandidateStress) {
               << "n " << n << " trial " << trial << " k " << k;
           ++checked;
           // Would the search skip it (the bound alone fails a 90% drop)?
-          if (lb >= 0.1 * base.normalized_stress) ++binding;
+          if (lb >= 0.1 * base.normalized_stress) {
+            ++binding;
+            if (!injected) ++binding_without_triangles;
+          }
         }
       }
     }
   }
-  EXPECT_GT(checked, 10000u);
-  EXPECT_GT(binding, checked / 2);  // the bound is not vacuous
+  EXPECT_GT(checked, 15000u);
+  // The bound is not vacuous, and K4s prune where no triangle is violated.
+  EXPECT_GT(binding, checked / 2);
+  EXPECT_GT(binding_without_triangles, checked / 4);
+}
+
+std::array<double, 6> k4_sides(const Matrix& d) {
+  return {d(0, 1), d(0, 2), d(0, 3), d(1, 2), d(1, 3), d(2, 3)};
+}
+
+// Every K4's S_q is at most the best of many SMACOF starts on its four
+// devices, with unequal weights. Small lifts make the certificate nearly
+// tight (its first-order term is exact in the limit), so this also shows
+// that S_q is not loose by construction.
+TEST(PlanarStressBound, K4BoundNeverExceedsMultiStartMinimum) {
+  uwp::Rng rng(43);
+  SmacofOptions many;
+  many.random_restarts = 30;
+  int tight = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const double lift = trial % 2 == 0 ? 0.5 : 6.0;
+    const Matrix d = lifted_distances(4, lift, rng);
+    Matrix w(4, 4);
+    for (std::size_t i = 0; i < 4; ++i)
+      for (std::size_t j = i + 1; j < 4; ++j) w(i, j) = w(j, i) = rng.uniform(0.5, 2.0);
+    const double s_q = k4_planar_stress_bound(
+        k4_sides(d), {w(0, 1), w(0, 2), w(0, 3), w(1, 2), w(1, 3), w(2, 3)});
+    const SmacofResult best = smacof_2d(d, w, many, rng);
+    ASSERT_LE(s_q, best.stress) << "trial " << trial;
+    if (s_q > 0.98 * best.stress) ++tight;
+  }
+  EXPECT_GE(tight, 4);
+}
+
+// A planar-realizable K4 gives exactly 0: integer layouts whose sides are
+// exact, and random layouts whose sides carry only distance rounding.
+TEST(PlanarStressBound, PlanarK4GivesZero) {
+  const std::array<double, 6> ones = {1, 1, 1, 1, 1, 1};
+  const std::vector<std::vector<Vec2>> exact = {
+      {{0, 0}, {3, 0}, {0, 4}, {3, 4}},    // 3-4-5 rectangle
+      {{0, 0}, {3, 4}, {6, 0}, {3, -4}},   // kite with sides 5, 6, 8
+      {{0, 0}, {1, 0}, {3, 0}, {7, 0}}};   // collinear
+  for (const std::vector<Vec2>& pts : exact)
+    EXPECT_EQ(k4_planar_stress_bound(k4_sides(distance_matrix(pts)), ones), 0.0);
+  uwp::Rng rng(44);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<Vec2> pts(4);
+    for (Vec2& p : pts) p = {rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0)};
+    EXPECT_EQ(k4_planar_stress_bound(k4_sides(distance_matrix(pts)), ones), 0.0)
+        << "trial " << trial;
+  }
+  // The same through the round's bound: a planar 6-device layout.
+  const std::vector<Vec2> truth = {{0, 0}, {12, 0}, {5, 11}, {-9, 6}, {-5, -9}, {8, -7}};
+  const Matrix w = Matrix::ones(6, 6);
+  PlanarStressBound bound;
+  bound.reset(distance_matrix(truth), w, links_of(w));
+  EXPECT_EQ(bound.bound({}), 0.0);
 }
 
 // A single violated triangle is the tight case: the best layout is collinear
 // with residuals (v, -v, -v) / 3, so the bound meets the SMACOF optimum.
-TEST(TriangleStressBound, TightOnOneViolatedTriangle) {
+TEST(PlanarStressBound, TightOnOneViolatedTriangle) {
   Matrix d(3, 3);
   d(0, 1) = d(1, 0) = 10.0;
   d(0, 2) = d(2, 0) = 2.0;
   d(1, 2) = d(2, 1) = 2.0;  // v = 10 - 2 - 2 = 6: raw stress >= 36 / 3
   const Matrix w = Matrix::ones(3, 3);
-  TriangleStressBound bound;
+  PlanarStressBound bound;
   bound.reset(d, w, links_of(w));
   const double lb = bound.bound({});
   EXPECT_NEAR(lb, 2.0, 1e-8);  // sqrt(12 / 3 links)
@@ -193,29 +273,37 @@ TEST(TriangleStressBound, TightOnOneViolatedTriangle) {
   EXPECT_EQ(bound.bound(drop), 0.0);
 }
 
-// Hostile sides: a NaN or Inf distance removes its triangles from the bound
-// instead of turning it into NaN (a NaN bound fails the acceptance test and
-// would skip every candidate) or Inf.
-TEST(TriangleStressBound, NonFiniteSidesContributeNothing) {
+// Hostile sides: a NaN or Inf distance removes its triangles and K4s from
+// the bound instead of turning it into NaN (a NaN bound fails the acceptance
+// test and would skip every candidate) or Inf.
+TEST(PlanarStressBound, NonFiniteSidesContributeNothing) {
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
   // A 20 m link 0-1 violates triangles (0, 1, 2) (v = 12.8) and (0, 1, 3)
-  // (v = 5.6); they share that link, so only the larger one is packed.
+  // (v = 5.6) and makes the K4 non-planar; all three share that link, so
+  // only the largest is packed.
   const std::vector<Vec2> truth = {{0, 0}, {4, 0}, {2, 3}, {-3, 5}};
   const Matrix w = Matrix::ones(4, 4);
   const std::vector<Edge> links = links_of(w);  // 01 02 03 12 13 23
   for (const double hostile : {kNaN, kInf, -kInf}) {
     Matrix d = distance_matrix(truth);
     d(0, 1) = d(1, 0) = 20.0;
-    TriangleStressBound bound;
+    PlanarStressBound bound;
     bound.reset(d, w, links);
-    const double clean = bound.bound({});
-    EXPECT_GT(clean, 0.0);
-    // A hostile side on (0, 1, 3) alone leaves the packed triangle counted.
+    const double v012 = d(0, 1) - d(0, 2) - d(1, 2);
+    EXPECT_GT(k4_planar_stress_bound(k4_sides(d), {1, 1, 1, 1, 1, 1}), 0.0);
+    EXPECT_GE(bound.bound({}), std::sqrt(v012 * v012 / 3 * (1 - 1e-9) / 6));
+    // Every K4 side in turn: the K4 bound drops to 0, never NaN.
+    for (std::size_t e = 0; e < 6; ++e) {
+      std::array<double, 6> sides = k4_sides(d);
+      sides[e] = hostile;
+      EXPECT_EQ(k4_planar_stress_bound(sides, {1, 1, 1, 1, 1, 1}), 0.0) << "side " << e;
+    }
+    // A hostile side on (0, 1, 3) leaves only triangle (0, 1, 2) counted.
     d(0, 3) = d(3, 0) = hostile;
     bound.reset(d, w, links);
-    EXPECT_EQ(bound.bound({}), clean);
-    // With one on (0, 1, 2) too, every triangle has a hostile side.
+    EXPECT_DOUBLE_EQ(bound.bound({}), std::sqrt(v012 * v012 / 3 * (1 - 1e-9) / 6));
+    // With one on (0, 1, 2) too, every triangle and the K4 have a hostile side.
     d(1, 2) = d(2, 1) = hostile;
     bound.reset(d, w, links);
     for (std::size_t k = 0; k <= 3; ++k)

@@ -193,9 +193,9 @@ TEST(GoldenLocalizer, ExhaustiveOutlierSearch) {
                         kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
 }
 
-// Algorithm 1's search counters: the stress bound skips most candidates of
-// this fixture without changing the pinned result above, and the counts and
-// SMACOF iterations are the same at any search_threads.
+// Algorithm 1's search counters: the planar stress bound skips every level-2
+// candidate of this fixture without changing the pinned result above, and
+// the counts and SMACOF iterations are the same at any search_threads.
 TEST(GoldenLocalizer, ExhaustiveOutlierSearchCandidateCounts) {
   core::LocalizerOptions parallel;
   parallel.outlier.search_threads = 4;
@@ -205,8 +205,8 @@ TEST(GoldenLocalizer, ExhaustiveOutlierSearchCandidateCounts) {
   core::LocalizationResult serial, fanned;
   Rng rng(99);
   core::Localizer().localize_into(serial, golden::fixture_outlier_input(), rng, ws);
-  EXPECT_EQ(serial.candidate_solves, 60);
-  EXPECT_EQ(serial.candidates_pruned, 171);
+  EXPECT_EQ(serial.candidate_solves, 21);
+  EXPECT_EQ(serial.candidates_pruned, 210);
   // 21 links, levels 1 and 2 searched: C(21, 1) + C(21, 2) candidates.
   EXPECT_EQ(serial.candidate_solves + serial.candidates_pruned, 21 + 210);
   Rng rng4(99);

@@ -147,10 +147,12 @@ TEST(CounterPlane, FleetSnapshotsBitIdenticalAcrossShardCounts) {
 }
 
 TelemetryReport serve_report(const std::vector<sim::GroupScenario>& workload,
-                             std::size_t workers, fleet::ServerOptions opts) {
+                             std::size_t workers, fleet::ServerOptions opts,
+                             bool timing = true) {
   opts.workers = workers;
   TelemetryOptions topts;
   topts.enabled = true;
+  topts.timing = timing;
   topts.window = 4.0;
   Collector collector(topts);
   fleet::Server server(opts, workload);
@@ -231,7 +233,16 @@ TEST(CounterPlane, DisabledTimingKeepsCountersAndSkipsSpans) {
   EXPECT_GT(rep.totals[static_cast<std::size_t>(Counter::kRounds)], 0u);
   for (std::size_t s = 0; s < kStageCount; ++s)
     EXPECT_EQ(rep.spans[s].count(), 0u) << to_string(static_cast<Stage>(s));
+  for (std::size_t s = 0; s < kSampleCount; ++s)
+    EXPECT_EQ(rep.samples[s].count(), 0u) << to_string(static_cast<Sample>(s));
   EXPECT_TRUE(rep.counters_equal(fleet_report(workload, 3)));
+  // The server's ingest loop (queue depth) and workers' arenas sample too.
+  fleet::ServerOptions so;
+  so.master_seed = fo.master_seed;
+  const TelemetryReport served = serve_report(workload, 2, so, false);
+  EXPECT_GT(served.totals[static_cast<std::size_t>(Counter::kRounds)], 0u);
+  for (std::size_t s = 0; s < kSampleCount; ++s)
+    EXPECT_EQ(served.samples[s].count(), 0u) << to_string(static_cast<Sample>(s));
 }
 
 // --- timing plane -----------------------------------------------------------
