@@ -179,30 +179,13 @@ telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec) {
   if (spec.mode == RunMode::kServe) opts.window *= spec.fleet.server.tick_period_s;
   opts.trace = spec.telemetry.trace.enabled;
   opts.trace_max_spans = spec.telemetry.trace.max_spans;
-  opts.flight.capacity = spec.telemetry.flight.capacity;
-  opts.flight.max_dumps = spec.telemetry.flight.max_dumps;
-  opts.flight.evict_storm = spec.telemetry.flight.evict_storm;
-  opts.flight.shed_burst = spec.telemetry.flight.shed_burst;
-  opts.flight.localize_failures = spec.telemetry.flight.localize_failures;
+  opts.flight = spec.telemetry.flight;
   return opts;
 }
 
 control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   validate_or_throw(spec);
-  control::ControlConfig cfg;
-  cfg.enabled = spec.control.enabled;
-  cfg.arena = spec.control.arena;
-  cfg.shaper = spec.control.shaper;
-  cfg.solver = spec.control.solver;
-  cfg.evict_storm = spec.control.evict_storm;
-  cfg.retain_base = spec.control.retain_base;
-  cfg.retain_max = spec.control.retain_max;
-  cfg.rate_step = spec.control.rate_step;
-  cfg.rate_max_multiplier = spec.control.rate_max_multiplier;
-  cfg.solver_iters_high = spec.control.solver_iters_high;
-  cfg.solver_iters_low = spec.control.solver_iters_low;
-  cfg.max_search_threads = spec.control.max_search_threads;
-  return cfg;
+  return spec.control;
 }
 
 control::ShardControls make_control_baseline(const ScenarioSpec& spec) {

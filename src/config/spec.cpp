@@ -1,6 +1,7 @@
 #include "config/spec.hpp"
 
 #include <cmath>
+#include <concepts>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
@@ -65,112 +66,240 @@ const char* to_string(phy::MicMode mode) {
   return "?";
 }
 
-const char* kind_mix_string(int force_kind) {
+const char* kind_mix_name(int force_kind) {
   if (force_kind < 0) return "mixed";
   return sim::to_string(static_cast<sim::GroupScenarioKind>(force_kind));
 }
 
-// --- strict object reader ---------------------------------------------------
-// Tracks which keys were consumed so unknown fields fail with their path —
-// a typo'd knob must never silently fall back to a default.
+// --- field lists ------------------------------------------------------------
+// Each section names its serialized fields once, in output order. Two
+// walkers visit a list: ObjectWriter (to_json) and ObjectReader
+// (spec_from_json). `S` is the section type or its const form, so the same
+// list serves the const writer and the filling reader. A walker offers
+//   io(key, field)                 bool, double, int, unsigned, string, Vec3,
+//                                  and Vec3 lists
+//   io.choice(key, field, last)    an enum spelled by to_string, its values
+//                                  dense from 0 up to `last`
+//   io.kind_mix(key, force_kind)   "mixed" or a sim::GroupScenarioKind name
+//   io.section(key, field)         a nested object with its own field list
+//   io.list(key, items)            an array of such objects
 
-class ObjectReader {
- public:
-  ObjectReader(const Json& v, std::string path) : v_(v), path_(std::move(path)) {
-    if (!v_.is_object()) throw SpecError(path_, "expected an object");
-    used_.assign(v_.members().size(), false);
-  }
+template <typename S, typename T>
+concept SectionOf = std::same_as<std::remove_const_t<S>, T>;
 
-  std::string sub(const std::string& key) const {
-    return path_.empty() ? key : path_ + "." + key;
-  }
+template <typename Io, SectionOf<DeploymentSpec> S>
+void fields(Io& io, S& d) {
+  io.choice("preset", d.preset, DeploymentPreset::kExplicit);
+  io.choice("environment", d.environment, EnvironmentPreset::kBoathouse);
+  io("seed", d.seed);
+  io("devices", d.devices);
+  io("positions", d.positions);
+  io("random_audio", d.random_audio);
+}
 
-  const Json* take(const char* key) {
-    const std::vector<Json::Member>& ms = v_.members();
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      if (ms[i].first != key) continue;
-      used_[i] = true;
-      return &ms[i].second;
-    }
-    return nullptr;
-  }
+template <typename Io, SectionOf<pipeline::ArrivalErrorModel> S>
+void fields(Io& io, S& a) {
+  io("sigma_m", a.sigma_m);
+  io("sigma_per_m", a.sigma_per_m);
+  io("detection_failure_prob", a.detection_failure_prob);
+}
 
-  void finish() const {
-    const std::vector<Json::Member>& ms = v_.members();
-    for (std::size_t i = 0; i < ms.size(); ++i)
-      if (!used_[i]) throw SpecError(sub(ms[i].first), "unknown field");
-  }
+template <typename Io, SectionOf<sensors::DepthSensorModel> S>
+void fields(Io& io, S& d) {
+  io("bias_m", d.bias_m);
+  io("noise_sigma_m", d.noise_sigma_m);
+  io("quantization_m", d.quantization_m);
+}
 
-  void read(const char* key, bool& out) {
-    if (const Json* j = take(key)) {
-      if (!j->is_bool()) throw SpecError(sub(key), "expected a bool");
-      out = j->as_bool();
-    }
-  }
+template <typename Io, SectionOf<sensors::PointingModel> S>
+void fields(Io& io, S& p) {
+  io("sigma_deg", p.sigma_deg);
+  io("sigma_per_meter_deg", p.sigma_per_meter_deg);
+}
 
-  void read(const char* key, double& out) {
-    if (const Json* j = take(key)) {
-      if (!json_as_double(*j, out))
-        throw SpecError(sub(key), "expected a number (or nan/inf/hexfloat string)");
-    }
-  }
+template <typename Io, SectionOf<core::SmacofOptions> S>
+void fields(Io& io, S& s) {
+  io("max_iterations", s.max_iterations);
+  io("rel_tolerance", s.rel_tolerance);
+  io("random_restarts", s.random_restarts);
+  io("init_spread", s.init_spread);
+}
 
-  // One reader for every unsigned integral field. A template rather than
-  // overloads because std::uint64_t seeds and std::size_t counts are the
-  // same type on LP64 (the exact-match overloads above still win for bool,
-  // double, int, and string fields).
-  template <typename T>
-  void read(const char* key, T& out) {
-    static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>);
-    if (const Json* j = take(key)) {
-      std::uint64_t v = 0;
-      if (!json_as_u64(*j, v))
-        throw SpecError(sub(key), "expected an unsigned integer");
-      out = static_cast<T>(v);
-    }
-  }
+template <typename Io, SectionOf<core::OutlierOptions> S>
+void fields(Io& io, S& o) {
+  io("stress_threshold", o.stress_threshold);
+  io("drop_ratio", o.drop_ratio);
+  io("max_outliers", o.max_outliers);
+  io("max_suspect_links", o.max_suspect_links);
+  io("search_threads", o.search_threads);
+  io.section("smacof", o.smacof);
+}
 
-  void read(const char* key, int& out) {
-    if (const Json* j = take(key)) {
-      double d = 0.0;
-      if (!json_as_double(*j, d) || d != std::floor(d) || d < -2147483648.0 ||
-          d > 2147483647.0)
-        throw SpecError(sub(key), "expected an integer");
-      out = static_cast<int>(d);
-    }
-  }
+template <typename Io, SectionOf<core::LocalizerOptions> S>
+void fields(Io& io, S& l) {
+  io.section("outlier", l.outlier);
+}
 
-  void read(const char* key, std::string& out) {
-    if (const Json* j = take(key)) {
-      if (!j->is_string()) throw SpecError(sub(key), "expected a string");
-      out = j->as_string();
-    }
-  }
+template <typename Io, SectionOf<sim::RoundOptions> S>
+void fields(Io& io, S& o) {
+  io("waveform_phy", o.waveform_phy);
+  io.section("arrival", o.fast_arrival);
+  io("quantize_payload", o.quantize_payload);
+  io("sound_speed_error_mps", o.sound_speed_error_mps);
+  io.choice("mic_mode", o.mic_mode, phy::MicMode::kMic2Only);
+  io.section("depth_sensor", o.depth_sensor);
+  io.section("pointing", o.pointing);
+  io.section("localizer", o.localizer);
+}
 
-  // Enum field: match the string against to_string(values...).
-  template <typename Enum, std::size_t N>
-  void read_enum(const char* key, Enum& out, const Enum (&values)[N]) {
-    const Json* j = take(key);
-    if (j == nullptr) return;
-    if (!j->is_string()) throw SpecError(sub(key), "expected a string");
-    std::string choices;
-    for (const Enum v : values) {
-      if (j->as_string() == to_string(v)) {
-        out = v;
-        return;
-      }
-      if (!choices.empty()) choices += "|";
-      choices += to_string(v);
-    }
-    throw SpecError(sub(key), "unknown value \"" + j->as_string() + "\" (expected " +
-                                  choices + ")");
-  }
+template <typename Io, SectionOf<proto::ProtocolConfig> S>
+void fields(Io& io, S& p) {
+  io("num_devices", p.num_devices);
+  io("delta0_s", p.delta0_s);
+  io("t_packet_s", p.t_packet_s);
+  io("t_guard_s", p.t_guard_s);
+  io("sound_speed_mps", p.sound_speed_mps);
+  io("fs_hz", p.fs_hz);
+}
 
- private:
-  const Json& v_;
-  std::string path_;
-  std::vector<bool> used_;
-};
+template <typename Io, SectionOf<core::TrackerConfig> S>
+void fields(Io& io, S& t) {
+  io("accel_noise", t.accel_noise);
+  io("measurement_sigma_m", t.measurement_sigma_m);
+  io("velocity_decay_tau_s", t.velocity_decay_tau_s);
+  io("gate_sigmas", t.gate_sigmas);
+}
+
+template <typename Io, SectionOf<MotionSpec> S>
+void fields(Io& io, S& m) {
+  io("node", m.node);
+  io("axis", m.motion.axis);
+  io("span_m", m.motion.span_m);
+  io("speed_mps", m.motion.speed_mps);
+  io("phase_s", m.motion.phase_s);
+  io("waypoints", m.motion.waypoints);
+}
+
+template <typename Io, SectionOf<DesSpec> S>
+void fields(Io& io, S& d) {
+  io("rounds", d.rounds);
+  io("round_period_s", d.round_period_s);
+  io("max_range_m", d.max_range_m);
+  io("ideal_arrivals", d.ideal_arrivals);
+  io.section("tracker", d.tracker);
+  io.list("motion", d.motion);
+}
+
+template <typename Io, SectionOf<sim::SweepOptions> S>
+void fields(Io& io, S& s) {
+  io("trials", s.trials);
+  io("master_seed", s.master_seed);
+  io("threads", s.threads);
+}
+
+template <typename Io, SectionOf<sim::WorkloadParams> S>
+void fields(Io& io, S& w) {
+  io("sessions", w.sessions);
+  io("seed", w.seed);
+  io("min_group_size", w.min_group_size);
+  io("max_group_size", w.max_group_size);
+  io("min_rounds", w.min_rounds);
+  io("max_rounds", w.max_rounds);
+  io("admit_spread_ticks", w.admit_spread_ticks);
+  io("include_des", w.include_des);
+  io.kind_mix("kind_mix", w.force_kind);
+}
+
+template <typename Io, SectionOf<fleet::ShaperOptions> S>
+void fields(Io& io, S& sh) {
+  io.choice("policy", sh.policy, fleet::AdmissionPolicy::kDefer);
+  io("ingest_shards", sh.ingest_shards);
+  io("queue_depth", sh.queue_depth);
+  io("drain_rounds_per_s", sh.drain_rounds_per_s);
+  io("rate_rounds_per_s", sh.rate_rounds_per_s);
+  io("burst_rounds", sh.burst_rounds);
+  io("feedback_threshold", sh.feedback_threshold);
+  io("defer_delay_s", sh.defer_delay_s);
+  io("max_defers", sh.max_defers);
+}
+
+// ServerOptions::master_seed and measure_latency are not listed: they
+// mirror fleet.options (make_fleet_server).
+template <typename Io, SectionOf<ServeSpec> S>
+void fields(Io& io, S& s) {
+  io("workers", s.options.workers);
+  io("queue_depth", s.options.queue_depth);
+  io("tick_period_s", s.tick_period_s);
+  io("transport_capacity", s.transport_capacity);
+  io.section("shaping", s.options.shaping);
+}
+
+// FleetOptions::batch_rounds is not listed: it is ignored, kept only
+// because perfbench/ assigns it.
+template <typename Io, SectionOf<FleetSpec> S>
+void fields(Io& io, S& f) {
+  io("master_seed", f.options.master_seed);
+  io("shards", f.options.shards);
+  io("measure_latency", f.options.measure_latency);
+  io.section("workload", f.workload);
+  io.section("server", f.server);
+}
+
+template <typename Io, SectionOf<TelemetrySpec::TraceSpec> S>
+void fields(Io& io, S& t) {
+  io("enabled", t.enabled);
+  io("max_spans", t.max_spans);
+}
+
+template <typename Io, SectionOf<telemetry::FlightOptions> S>
+void fields(Io& io, S& f) {
+  io("capacity", f.capacity);
+  io("max_dumps", f.max_dumps);
+  io("evict_storm", f.evict_storm);
+  io("shed_burst", f.shed_burst);
+  io("localize_failures", f.localize_failures);
+}
+
+template <typename Io, SectionOf<TelemetrySpec> S>
+void fields(Io& io, S& t) {
+  io("enabled", t.enabled);
+  io("timing", t.timing);
+  io("window_ticks", t.window_ticks);
+  io.section("trace", t.trace);
+  io.section("flight", t.flight);
+}
+
+// ControlConfig::window_ticks is not listed: it is ignored (the fold window
+// is telemetry.window_ticks), kept only because perfbench/ assigns it.
+template <typename Io, SectionOf<control::ControlConfig> S>
+void fields(Io& io, S& c) {
+  io("enabled", c.enabled);
+  io("arena", c.arena);
+  io("shaper", c.shaper);
+  io("solver", c.solver);
+  io("evict_storm", c.evict_storm);
+  io("retain_base", c.retain_base);
+  io("retain_max", c.retain_max);
+  io("rate_step", c.rate_step);
+  io("rate_max_multiplier", c.rate_max_multiplier);
+  io("solver_iters_high", c.solver_iters_high);
+  io("solver_iters_low", c.solver_iters_low);
+  io("max_search_threads", c.max_search_threads);
+}
+
+template <typename Io, SectionOf<ScenarioSpec> S>
+void fields(Io& io, S& s) {
+  io("name", s.name);
+  io.choice("mode", s.mode, RunMode::kServe);
+  io.section("deployment", s.deployment);
+  io.section("round", s.round);
+  io.section("protocol", s.protocol);
+  io.section("des", s.des);
+  io.section("sweep", s.sweep);
+  io.section("fleet", s.fleet);
+  io.section("telemetry", s.telemetry);
+  io.section("control", s.control);
+}
 
 double require_double(const Json& j, const std::string& path) {
   double out = 0.0;
@@ -195,489 +324,229 @@ Vec3 vec3_from_json(const Json& j, const std::string& path) {
           require_double(j.items()[2], path + "[2]")};
 }
 
-// --- per-section codecs -----------------------------------------------------
+// Whole numbers other than int; bool has its own overload.
+template <typename T>
+concept Unsigned = std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
 
-Json deployment_to_json(const DeploymentSpec& d, bool hex) {
-  Json o = Json::object();
-  o.set("preset", Json::string(to_string(d.preset)));
-  o.set("environment", Json::string(to_string(d.environment)));
-  o.set("seed", u64_to_json(d.seed));
-  o.set("devices", u64_to_json(d.devices));
-  Json pos = Json::array();
-  for (const Vec3& p : d.positions) pos.push_back(vec3_to_json(p, hex));
-  o.set("positions", std::move(pos));
-  o.set("random_audio", Json::boolean(d.random_audio));
-  return o;
-}
+// --- writer -----------------------------------------------------------------
+// Builds a section's object in field-list order. Unsigned fields go through
+// u64_to_json (exact past 2^53). Signed ints ride verbatim as plain numbers
+// (the reader accepts them), so even an invalid in-memory value round-trips
+// exactly and bit_equal stays honest; validation rejects it separately.
 
-void deployment_from_json(const Json& v, const std::string& path, DeploymentSpec& d) {
-  ObjectReader r(v, path);
-  r.read_enum("preset", d.preset,
-              {DeploymentPreset::kDock, DeploymentPreset::kBoathouse,
-               DeploymentPreset::kAnalytical, DeploymentPreset::kExplicit});
-  r.read_enum("environment", d.environment,
-              {EnvironmentPreset::kPool, EnvironmentPreset::kDock,
-               EnvironmentPreset::kViewpoint, EnvironmentPreset::kBoathouse});
-  r.read("seed", d.seed);
-  r.read("devices", d.devices);
-  if (const Json* j = r.take("positions")) {
-    if (!j->is_array()) throw SpecError(r.sub("positions"), "expected an array");
-    d.positions.clear();
-    for (std::size_t i = 0; i < j->items().size(); ++i)
-      d.positions.push_back(vec3_from_json(
-          j->items()[i], r.sub("positions") + "[" + std::to_string(i) + "]"));
+class ObjectWriter {
+ public:
+  template <typename S>
+  static Json write(const S& section, bool hex) {
+    ObjectWriter w(hex);
+    fields(w, section);
+    return std::move(w.o_);
   }
-  r.read("random_audio", d.random_audio);
-  r.finish();
-}
 
-Json arrival_to_json(const pipeline::ArrivalErrorModel& a, bool hex) {
-  Json o = Json::object();
-  o.set("sigma_m", double_to_json(a.sigma_m, hex));
-  o.set("sigma_per_m", double_to_json(a.sigma_per_m, hex));
-  o.set("detection_failure_prob", double_to_json(a.detection_failure_prob, hex));
-  return o;
-}
-
-void arrival_from_json(const Json& v, const std::string& path,
-                       pipeline::ArrivalErrorModel& a) {
-  ObjectReader r(v, path);
-  r.read("sigma_m", a.sigma_m);
-  r.read("sigma_per_m", a.sigma_per_m);
-  r.read("detection_failure_prob", a.detection_failure_prob);
-  r.finish();
-}
-
-Json localizer_to_json(const core::LocalizerOptions& l, bool hex) {
-  const core::OutlierOptions& out = l.outlier;
-  // Signed ints ride verbatim as plain numbers (the int reader accepts
-  // them), so even an invalid in-memory value round-trips exactly and
-  // bit_equal stays honest; validation rejects it separately.
-  Json smacof = Json::object();
-  smacof.set("max_iterations", Json::number(out.smacof.max_iterations));
-  smacof.set("rel_tolerance", double_to_json(out.smacof.rel_tolerance, hex));
-  smacof.set("random_restarts", Json::number(out.smacof.random_restarts));
-  smacof.set("init_spread", double_to_json(out.smacof.init_spread, hex));
-  Json outlier = Json::object();
-  outlier.set("stress_threshold", double_to_json(out.stress_threshold, hex));
-  outlier.set("drop_ratio", double_to_json(out.drop_ratio, hex));
-  outlier.set("max_outliers", Json::number(out.max_outliers));
-  outlier.set("max_suspect_links", u64_to_json(out.max_suspect_links));
-  outlier.set("search_threads", u64_to_json(out.search_threads));
-  outlier.set("smacof", std::move(smacof));
-  Json o = Json::object();
-  o.set("outlier", std::move(outlier));
-  return o;
-}
-
-void localizer_from_json(const Json& v, const std::string& path,
-                         core::LocalizerOptions& l) {
-  ObjectReader r(v, path);
-  if (const Json* j = r.take("outlier")) {
-    ObjectReader ro(*j, r.sub("outlier"));
-    ro.read("stress_threshold", l.outlier.stress_threshold);
-    ro.read("drop_ratio", l.outlier.drop_ratio);
-    ro.read("max_outliers", l.outlier.max_outliers);
-    ro.read("max_suspect_links", l.outlier.max_suspect_links);
-    ro.read("search_threads", l.outlier.search_threads);
-    if (const Json* s = ro.take("smacof")) {
-      ObjectReader rs(*s, ro.sub("smacof"));
-      rs.read("max_iterations", l.outlier.smacof.max_iterations);
-      rs.read("rel_tolerance", l.outlier.smacof.rel_tolerance);
-      rs.read("random_restarts", l.outlier.smacof.random_restarts);
-      rs.read("init_spread", l.outlier.smacof.init_spread);
-      rs.finish();
-    }
-    ro.finish();
+  void operator()(const char* key, bool v) { o_.set(key, Json::boolean(v)); }
+  void operator()(const char* key, double v) { o_.set(key, double_to_json(v, hex_)); }
+  void operator()(const char* key, int v) { o_.set(key, Json::number(v)); }
+  template <Unsigned T>
+  void operator()(const char* key, T v) { o_.set(key, u64_to_json(v)); }
+  void operator()(const char* key, const std::string& v) { o_.set(key, Json::string(v)); }
+  void operator()(const char* key, const Vec3& v) { o_.set(key, vec3_to_json(v, hex_)); }
+  void operator()(const char* key, const std::vector<Vec3>& vs) {
+    Json arr = Json::array();
+    for (const Vec3& v : vs) arr.push_back(vec3_to_json(v, hex_));
+    o_.set(key, std::move(arr));
   }
-  r.finish();
-}
 
-Json round_to_json(const sim::RoundOptions& o, bool hex) {
-  Json j = Json::object();
-  j.set("waveform_phy", Json::boolean(o.waveform_phy));
-  j.set("arrival", arrival_to_json(o.fast_arrival, hex));
-  j.set("quantize_payload", Json::boolean(o.quantize_payload));
-  j.set("sound_speed_error_mps", double_to_json(o.sound_speed_error_mps, hex));
-  j.set("mic_mode", Json::string(to_string(o.mic_mode)));
-  Json depth = Json::object();
-  depth.set("bias_m", double_to_json(o.depth_sensor.bias_m, hex));
-  depth.set("noise_sigma_m", double_to_json(o.depth_sensor.noise_sigma_m, hex));
-  depth.set("quantization_m", double_to_json(o.depth_sensor.quantization_m, hex));
-  j.set("depth_sensor", std::move(depth));
-  Json pointing = Json::object();
-  pointing.set("sigma_deg", double_to_json(o.pointing.sigma_deg, hex));
-  pointing.set("sigma_per_meter_deg",
-               double_to_json(o.pointing.sigma_per_meter_deg, hex));
-  j.set("pointing", std::move(pointing));
-  j.set("localizer", localizer_to_json(o.localizer, hex));
-  return j;
-}
+  template <typename Enum>
+  void choice(const char* key, Enum v, Enum) { o_.set(key, Json::string(to_string(v))); }
 
-void round_from_json(const Json& v, const std::string& path, sim::RoundOptions& o) {
-  ObjectReader r(v, path);
-  r.read("waveform_phy", o.waveform_phy);
-  if (const Json* j = r.take("arrival"))
-    arrival_from_json(*j, r.sub("arrival"), o.fast_arrival);
-  r.read("quantize_payload", o.quantize_payload);
-  r.read("sound_speed_error_mps", o.sound_speed_error_mps);
-  r.read_enum("mic_mode", o.mic_mode,
-              {phy::MicMode::kDual, phy::MicMode::kMic1Only, phy::MicMode::kMic2Only});
-  if (const Json* j = r.take("depth_sensor")) {
-    ObjectReader rd(*j, r.sub("depth_sensor"));
-    rd.read("bias_m", o.depth_sensor.bias_m);
-    rd.read("noise_sigma_m", o.depth_sensor.noise_sigma_m);
-    rd.read("quantization_m", o.depth_sensor.quantization_m);
-    rd.finish();
+  void kind_mix(const char* key, int force_kind) {
+    o_.set(key, Json::string(kind_mix_name(force_kind)));
   }
-  if (const Json* j = r.take("pointing")) {
-    ObjectReader rp(*j, r.sub("pointing"));
-    rp.read("sigma_deg", o.pointing.sigma_deg);
-    rp.read("sigma_per_meter_deg", o.pointing.sigma_per_meter_deg);
-    rp.finish();
+
+  template <typename S>
+  void section(const char* key, const S& s) { o_.set(key, write(s, hex_)); }
+
+  template <typename S>
+  void list(const char* key, const std::vector<S>& items) {
+    Json arr = Json::array();
+    for (const S& s : items) arr.push_back(write(s, hex_));
+    o_.set(key, std::move(arr));
   }
-  if (const Json* j = r.take("localizer"))
-    localizer_from_json(*j, r.sub("localizer"), o.localizer);
-  r.finish();
-}
 
-Json protocol_to_json(const proto::ProtocolConfig& p, bool hex) {
-  Json o = Json::object();
-  o.set("num_devices", u64_to_json(p.num_devices));
-  o.set("delta0_s", double_to_json(p.delta0_s, hex));
-  o.set("t_packet_s", double_to_json(p.t_packet_s, hex));
-  o.set("t_guard_s", double_to_json(p.t_guard_s, hex));
-  o.set("sound_speed_mps", double_to_json(p.sound_speed_mps, hex));
-  o.set("fs_hz", double_to_json(p.fs_hz, hex));
-  return o;
-}
+ private:
+  explicit ObjectWriter(bool hex) : hex_(hex) {}
 
-void protocol_from_json(const Json& v, const std::string& path,
-                        proto::ProtocolConfig& p) {
-  ObjectReader r(v, path);
-  r.read("num_devices", p.num_devices);
-  r.read("delta0_s", p.delta0_s);
-  r.read("t_packet_s", p.t_packet_s);
-  r.read("t_guard_s", p.t_guard_s);
-  r.read("sound_speed_mps", p.sound_speed_mps);
-  r.read("fs_hz", p.fs_hz);
-  r.finish();
-}
+  bool hex_;
+  Json o_ = Json::object();
+};
 
-Json motion_to_json(const MotionSpec& m, bool hex) {
-  Json o = Json::object();
-  o.set("node", u64_to_json(m.node));
-  o.set("axis", vec3_to_json(m.motion.axis, hex));
-  o.set("span_m", double_to_json(m.motion.span_m, hex));
-  o.set("speed_mps", double_to_json(m.motion.speed_mps, hex));
-  o.set("phase_s", double_to_json(m.motion.phase_s, hex));
-  Json wps = Json::array();
-  for (const Vec3& w : m.motion.waypoints) wps.push_back(vec3_to_json(w, hex));
-  o.set("waypoints", std::move(wps));
-  return o;
-}
+// --- strict reader ----------------------------------------------------------
+// Tracks which keys were consumed so unknown fields fail with their path —
+// a typo'd knob must never silently fall back to a default. Absent fields
+// keep their current value.
 
-void motion_from_json(const Json& v, const std::string& path, MotionSpec& m) {
-  ObjectReader r(v, path);
-  r.read("node", m.node);
-  if (const Json* j = r.take("axis")) m.motion.axis = vec3_from_json(*j, r.sub("axis"));
-  r.read("span_m", m.motion.span_m);
-  r.read("speed_mps", m.motion.speed_mps);
-  r.read("phase_s", m.motion.phase_s);
-  if (const Json* j = r.take("waypoints")) {
-    if (!j->is_array()) throw SpecError(r.sub("waypoints"), "expected an array");
-    m.motion.waypoints.clear();
-    for (std::size_t i = 0; i < j->items().size(); ++i)
-      m.motion.waypoints.push_back(vec3_from_json(
-          j->items()[i], r.sub("waypoints") + "[" + std::to_string(i) + "]"));
+class ObjectReader {
+ public:
+  template <typename S>
+  static void read(const Json& v, std::string path, S& section) {
+    ObjectReader r(v, std::move(path));
+    fields(r, section);
+    r.finish();
   }
-  r.finish();
-}
 
-Json des_to_json(const DesSpec& d, bool hex) {
-  Json o = Json::object();
-  o.set("rounds", u64_to_json(d.rounds));
-  o.set("round_period_s", double_to_json(d.round_period_s, hex));
-  o.set("max_range_m", double_to_json(d.max_range_m, hex));
-  o.set("ideal_arrivals", Json::boolean(d.ideal_arrivals));
-  Json tracker = Json::object();
-  tracker.set("accel_noise", double_to_json(d.tracker.accel_noise, hex));
-  tracker.set("measurement_sigma_m",
-              double_to_json(d.tracker.measurement_sigma_m, hex));
-  tracker.set("velocity_decay_tau_s",
-              double_to_json(d.tracker.velocity_decay_tau_s, hex));
-  tracker.set("gate_sigmas", double_to_json(d.tracker.gate_sigmas, hex));
-  o.set("tracker", std::move(tracker));
-  Json motion = Json::array();
-  for (const MotionSpec& m : d.motion) motion.push_back(motion_to_json(m, hex));
-  o.set("motion", std::move(motion));
-  return o;
-}
-
-void des_from_json(const Json& v, const std::string& path, DesSpec& d) {
-  ObjectReader r(v, path);
-  r.read("rounds", d.rounds);
-  r.read("round_period_s", d.round_period_s);
-  r.read("max_range_m", d.max_range_m);
-  r.read("ideal_arrivals", d.ideal_arrivals);
-  if (const Json* j = r.take("tracker")) {
-    ObjectReader rt(*j, r.sub("tracker"));
-    rt.read("accel_noise", d.tracker.accel_noise);
-    rt.read("measurement_sigma_m", d.tracker.measurement_sigma_m);
-    rt.read("velocity_decay_tau_s", d.tracker.velocity_decay_tau_s);
-    rt.read("gate_sigmas", d.tracker.gate_sigmas);
-    rt.finish();
-  }
-  if (const Json* j = r.take("motion")) {
-    if (!j->is_array()) throw SpecError(r.sub("motion"), "expected an array");
-    d.motion.clear();
-    for (std::size_t i = 0; i < j->items().size(); ++i) {
-      MotionSpec m;
-      motion_from_json(j->items()[i],
-                       r.sub("motion") + "[" + std::to_string(i) + "]", m);
-      d.motion.push_back(std::move(m));
+  void operator()(const char* key, bool& out) {
+    if (const Json* j = take(key)) {
+      if (!j->is_bool()) throw SpecError(sub(key), "expected a bool");
+      out = j->as_bool();
     }
   }
-  r.finish();
-}
 
-Json sweep_to_json(const sim::SweepOptions& s) {
-  Json o = Json::object();
-  o.set("trials", u64_to_json(s.trials));
-  o.set("master_seed", u64_to_json(s.master_seed));
-  o.set("threads", u64_to_json(s.threads));
-  return o;
-}
-
-void sweep_from_json(const Json& v, const std::string& path, sim::SweepOptions& s) {
-  ObjectReader r(v, path);
-  r.read("trials", s.trials);
-  r.read("master_seed", s.master_seed);
-  r.read("threads", s.threads);
-  r.finish();
-}
-
-Json server_to_json(const ServeSpec& s, bool hex) {
-  const fleet::ShaperOptions& sh = s.options.shaping;
-  Json shaping = Json::object();
-  shaping.set("policy", Json::string(to_string(sh.policy)));
-  shaping.set("ingest_shards", u64_to_json(sh.ingest_shards));
-  shaping.set("queue_depth", u64_to_json(sh.queue_depth));
-  shaping.set("drain_rounds_per_s", double_to_json(sh.drain_rounds_per_s, hex));
-  shaping.set("rate_rounds_per_s", double_to_json(sh.rate_rounds_per_s, hex));
-  shaping.set("burst_rounds", double_to_json(sh.burst_rounds, hex));
-  shaping.set("feedback_threshold", double_to_json(sh.feedback_threshold, hex));
-  shaping.set("defer_delay_s", double_to_json(sh.defer_delay_s, hex));
-  shaping.set("max_defers", u64_to_json(sh.max_defers));
-  Json o = Json::object();
-  o.set("workers", u64_to_json(s.options.workers));
-  o.set("queue_depth", u64_to_json(s.options.queue_depth));
-  o.set("tick_period_s", double_to_json(s.tick_period_s, hex));
-  o.set("transport_capacity", u64_to_json(s.transport_capacity));
-  o.set("shaping", std::move(shaping));
-  return o;
-}
-
-void server_from_json(const Json& v, const std::string& path, ServeSpec& s) {
-  ObjectReader r(v, path);
-  r.read("workers", s.options.workers);
-  r.read("queue_depth", s.options.queue_depth);
-  r.read("tick_period_s", s.tick_period_s);
-  r.read("transport_capacity", s.transport_capacity);
-  if (const Json* j = r.take("shaping")) {
-    fleet::ShaperOptions& sh = s.options.shaping;
-    ObjectReader rs(*j, r.sub("shaping"));
-    rs.read_enum("policy", sh.policy,
-                 {fleet::AdmissionPolicy::kAdmitAll, fleet::AdmissionPolicy::kShed,
-                  fleet::AdmissionPolicy::kDefer});
-    rs.read("ingest_shards", sh.ingest_shards);
-    rs.read("queue_depth", sh.queue_depth);
-    rs.read("drain_rounds_per_s", sh.drain_rounds_per_s);
-    rs.read("rate_rounds_per_s", sh.rate_rounds_per_s);
-    rs.read("burst_rounds", sh.burst_rounds);
-    rs.read("feedback_threshold", sh.feedback_threshold);
-    rs.read("defer_delay_s", sh.defer_delay_s);
-    rs.read("max_defers", sh.max_defers);
-    rs.finish();
+  void operator()(const char* key, double& out) {
+    if (const Json* j = take(key)) out = require_double(*j, sub(key));
   }
-  r.finish();
-}
 
-Json fleet_to_json(const FleetSpec& f, bool hex) {
-  Json workload = Json::object();
-  workload.set("sessions", u64_to_json(f.workload.sessions));
-  workload.set("seed", u64_to_json(f.workload.seed));
-  workload.set("min_group_size", u64_to_json(f.workload.min_group_size));
-  workload.set("max_group_size", u64_to_json(f.workload.max_group_size));
-  workload.set("min_rounds", u64_to_json(f.workload.min_rounds));
-  workload.set("max_rounds", u64_to_json(f.workload.max_rounds));
-  workload.set("admit_spread_ticks", u64_to_json(f.workload.admit_spread_ticks));
-  workload.set("include_des", Json::boolean(f.workload.include_des));
-  workload.set("kind_mix", Json::string(kind_mix_string(f.workload.force_kind)));
-  Json o = Json::object();
-  o.set("master_seed", u64_to_json(f.options.master_seed));
-  o.set("shards", u64_to_json(f.options.shards));
-  o.set("measure_latency", Json::boolean(f.options.measure_latency));
-  o.set("workload", std::move(workload));
-  o.set("server", server_to_json(f.server, hex));
-  return o;
-}
+  void operator()(const char* key, int& out) {
+    if (const Json* j = take(key)) {
+      double d = 0.0;
+      if (!json_as_double(*j, d) || d != std::floor(d) || d < -2147483648.0 ||
+          d > 2147483647.0)
+        throw SpecError(sub(key), "expected an integer");
+      out = static_cast<int>(d);
+    }
+  }
 
-void fleet_from_json(const Json& v, const std::string& path, FleetSpec& f) {
-  ObjectReader r(v, path);
-  r.read("master_seed", f.options.master_seed);
-  r.read("shards", f.options.shards);
-  r.read("measure_latency", f.options.measure_latency);
-  if (const Json* j = r.take("workload")) {
-    ObjectReader rw(*j, r.sub("workload"));
-    rw.read("sessions", f.workload.sessions);
-    rw.read("seed", f.workload.seed);
-    rw.read("min_group_size", f.workload.min_group_size);
-    rw.read("max_group_size", f.workload.max_group_size);
-    rw.read("min_rounds", f.workload.min_rounds);
-    rw.read("max_rounds", f.workload.max_rounds);
-    rw.read("admit_spread_ticks", f.workload.admit_spread_ticks);
-    rw.read("include_des", f.workload.include_des);
-    if (const Json* k = rw.take("kind_mix")) {
-      if (!k->is_string()) throw SpecError(rw.sub("kind_mix"), "expected a string");
-      const std::string& s = k->as_string();
-      if (s == "mixed") {
-        f.workload.force_kind = -1;
-      } else {
-        int found = -1;
-        for (int kind = 0; kind <= static_cast<int>(sim::GroupScenarioKind::kPacketDes);
-             ++kind)
-          if (s == sim::to_string(static_cast<sim::GroupScenarioKind>(kind)))
-            found = kind;
-        if (found < 0)
-          throw SpecError(rw.sub("kind_mix"),
-                          "unknown value \"" + s +
-                              "\" (expected mixed|static|lawnmower|waypoint|"
-                              "dropout-churn|packet-des)");
-        f.workload.force_kind = found;
+  // One reader for every unsigned field: std::uint64_t seeds and
+  // std::size_t counts are the same type on LP64.
+  template <Unsigned T>
+  void operator()(const char* key, T& out) {
+    if (const Json* j = take(key)) {
+      std::uint64_t v = 0;
+      if (!json_as_u64(*j, v))
+        throw SpecError(sub(key), "expected an unsigned integer");
+      out = static_cast<T>(v);
+    }
+  }
+
+  void operator()(const char* key, std::string& out) {
+    if (const Json* j = take(key)) {
+      if (!j->is_string()) throw SpecError(sub(key), "expected a string");
+      out = j->as_string();
+    }
+  }
+
+  void operator()(const char* key, Vec3& out) {
+    if (const Json* j = take(key)) out = vec3_from_json(*j, sub(key));
+  }
+
+  void operator()(const char* key, std::vector<Vec3>& out) {
+    if (const Json* j = take_array(key)) {
+      out.clear();
+      for (std::size_t i = 0; i < j->items().size(); ++i)
+        out.push_back(vec3_from_json(j->items()[i], item(key, i)));
+    }
+  }
+
+  template <typename Enum>
+  void choice(const char* key, Enum& out, Enum last) {
+    int v = static_cast<int>(out);
+    const auto name = [](int i) { return to_string(static_cast<Enum>(i)); };
+    pick(key, v, 0, static_cast<int>(last), name);
+    out = static_cast<Enum>(v);
+  }
+
+  void kind_mix(const char* key, int& force_kind) {
+    constexpr int kLastKind = static_cast<int>(sim::GroupScenarioKind::kPacketDes);
+    pick(key, force_kind, -1, kLastKind, kind_mix_name);
+  }
+
+  template <typename S>
+  void section(const char* key, S& s) {
+    if (const Json* j = take(key)) read(*j, sub(key), s);
+  }
+
+  template <typename S>
+  void list(const char* key, std::vector<S>& items) {
+    if (const Json* j = take_array(key)) {
+      items.clear();
+      for (std::size_t i = 0; i < j->items().size(); ++i) {
+        S s;
+        read(j->items()[i], item(key, i), s);
+        items.push_back(std::move(s));
       }
     }
-    rw.finish();
   }
-  if (const Json* j = r.take("server")) server_from_json(*j, r.sub("server"), f.server);
-  r.finish();
-}
 
-Json telemetry_to_json(const TelemetrySpec& t) {
-  Json o = Json::object();
-  o.set("enabled", Json::boolean(t.enabled));
-  o.set("timing", Json::boolean(t.timing));
-  o.set("window_ticks", u64_to_json(t.window_ticks));
-  Json trace = Json::object();
-  trace.set("enabled", Json::boolean(t.trace.enabled));
-  trace.set("max_spans", u64_to_json(t.trace.max_spans));
-  o.set("trace", std::move(trace));
-  Json flight = Json::object();
-  flight.set("capacity", u64_to_json(t.flight.capacity));
-  flight.set("max_dumps", u64_to_json(t.flight.max_dumps));
-  flight.set("evict_storm", u64_to_json(t.flight.evict_storm));
-  flight.set("shed_burst", u64_to_json(t.flight.shed_burst));
-  flight.set("localize_failures", u64_to_json(t.flight.localize_failures));
-  o.set("flight", std::move(flight));
-  return o;
-}
-
-void telemetry_from_json(const Json& v, const std::string& path, TelemetrySpec& t) {
-  ObjectReader r(v, path);
-  r.read("enabled", t.enabled);
-  r.read("timing", t.timing);
-  r.read("window_ticks", t.window_ticks);
-  if (const Json* j = r.take("trace")) {
-    ObjectReader rt(*j, r.sub("trace"));
-    rt.read("enabled", t.trace.enabled);
-    rt.read("max_spans", t.trace.max_spans);
-    rt.finish();
+ private:
+  ObjectReader(const Json& v, std::string path) : v_(v), path_(std::move(path)) {
+    if (!v_.is_object()) throw SpecError(path_, "expected an object");
+    used_.assign(v_.members().size(), false);
   }
-  if (const Json* j = r.take("flight")) {
-    ObjectReader rf(*j, r.sub("flight"));
-    rf.read("capacity", t.flight.capacity);
-    rf.read("max_dumps", t.flight.max_dumps);
-    rf.read("evict_storm", t.flight.evict_storm);
-    rf.read("shed_burst", t.flight.shed_burst);
-    rf.read("localize_failures", t.flight.localize_failures);
-    rf.finish();
+
+  std::string sub(const std::string& key) const {
+    return path_.empty() ? key : path_ + "." + key;
   }
-  r.finish();
-}
 
-Json control_to_json(const ControlSpec& c, bool hex) {
-  Json o = Json::object();
-  o.set("enabled", Json::boolean(c.enabled));
-  o.set("arena", Json::boolean(c.arena));
-  o.set("shaper", Json::boolean(c.shaper));
-  o.set("solver", Json::boolean(c.solver));
-  o.set("evict_storm", u64_to_json(c.evict_storm));
-  o.set("retain_base", u64_to_json(c.retain_base));
-  o.set("retain_max", u64_to_json(c.retain_max));
-  o.set("rate_step", double_to_json(c.rate_step, hex));
-  o.set("rate_max_multiplier", double_to_json(c.rate_max_multiplier, hex));
-  o.set("solver_iters_high", u64_to_json(c.solver_iters_high));
-  o.set("solver_iters_low", u64_to_json(c.solver_iters_low));
-  o.set("max_search_threads", u64_to_json(c.max_search_threads));
-  return o;
-}
+  std::string item(const char* key, std::size_t i) const {
+    return sub(key) + "[" + std::to_string(i) + "]";
+  }
 
-void control_from_json(const Json& v, const std::string& path, ControlSpec& c) {
-  ObjectReader r(v, path);
-  r.read("enabled", c.enabled);
-  r.read("arena", c.arena);
-  r.read("shaper", c.shaper);
-  r.read("solver", c.solver);
-  r.read("evict_storm", c.evict_storm);
-  r.read("retain_base", c.retain_base);
-  r.read("retain_max", c.retain_max);
-  r.read("rate_step", c.rate_step);
-  r.read("rate_max_multiplier", c.rate_max_multiplier);
-  r.read("solver_iters_high", c.solver_iters_high);
-  r.read("solver_iters_low", c.solver_iters_low);
-  r.read("max_search_threads", c.max_search_threads);
-  r.finish();
-}
+  const Json* take(const char* key) {
+    const std::vector<Json::Member>& ms = v_.members();
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      if (ms[i].first != key) continue;
+      used_[i] = true;
+      return &ms[i].second;
+    }
+    return nullptr;
+  }
+
+  const Json* take_array(const char* key) {
+    const Json* j = take(key);
+    if (j != nullptr && !j->is_array()) throw SpecError(sub(key), "expected an array");
+    return j;
+  }
+
+  void finish() const {
+    const std::vector<Json::Member>& ms = v_.members();
+    for (std::size_t i = 0; i < ms.size(); ++i)
+      if (!used_[i]) throw SpecError(sub(ms[i].first), "unknown field");
+  }
+
+  // Sets `out` to the i in [first, last] whose name(i) is the field's string.
+  template <typename Name>
+  void pick(const char* key, int& out, int first, int last, Name name) {
+    const Json* j = take(key);
+    if (j == nullptr) return;
+    if (!j->is_string()) throw SpecError(sub(key), "expected a string");
+    std::string choices;
+    for (int i = first; i <= last; ++i) {
+      if (j->as_string() == name(i)) {
+        out = i;
+        return;
+      }
+      if (!choices.empty()) choices += "|";
+      choices += name(i);
+    }
+    throw SpecError(sub(key), "unknown value \"" + j->as_string() + "\" (expected " +
+                                  choices + ")");
+  }
+
+  const Json& v_;
+  std::string path_;
+  std::vector<bool> used_;
+};
 
 }  // namespace
 
 // --- top level --------------------------------------------------------------
 
 Json to_json(const ScenarioSpec& spec, bool hexfloat) {
-  Json o = Json::object();
-  o.set("name", Json::string(spec.name));
-  o.set("mode", Json::string(to_string(spec.mode)));
-  o.set("deployment", deployment_to_json(spec.deployment, hexfloat));
-  o.set("round", round_to_json(spec.round, hexfloat));
-  o.set("protocol", protocol_to_json(spec.protocol, hexfloat));
-  o.set("des", des_to_json(spec.des, hexfloat));
-  o.set("sweep", sweep_to_json(spec.sweep));
-  o.set("fleet", fleet_to_json(spec.fleet, hexfloat));
-  o.set("telemetry", telemetry_to_json(spec.telemetry));
-  o.set("control", control_to_json(spec.control, hexfloat));
-  return o;
+  return ObjectWriter::write(spec, hexfloat);
 }
 
 ScenarioSpec spec_from_json(const Json& v) {
   ScenarioSpec spec;
-  ObjectReader r(v, "");
-  r.read("name", spec.name);
-  r.read_enum("mode", spec.mode,
-              {RunMode::kRound, RunMode::kSweep, RunMode::kDes, RunMode::kFleet,
-               RunMode::kServe});
-  if (const Json* j = r.take("deployment"))
-    deployment_from_json(*j, "deployment", spec.deployment);
-  if (const Json* j = r.take("round")) round_from_json(*j, "round", spec.round);
-  if (const Json* j = r.take("protocol"))
-    protocol_from_json(*j, "protocol", spec.protocol);
-  if (const Json* j = r.take("des")) des_from_json(*j, "des", spec.des);
-  if (const Json* j = r.take("sweep")) sweep_from_json(*j, "sweep", spec.sweep);
-  if (const Json* j = r.take("fleet")) fleet_from_json(*j, "fleet", spec.fleet);
-  if (const Json* j = r.take("telemetry"))
-    telemetry_from_json(*j, "telemetry", spec.telemetry);
-  if (const Json* j = r.take("control"))
-    control_from_json(*j, "control", spec.control);
-  r.finish();
+  ObjectReader::read(v, "", spec);
   return spec;
 }
 
@@ -928,7 +797,7 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
     err("telemetry.flight.localize_failures", "must be >= 1");
 
   // control
-  const ControlSpec& ctl = spec.control;
+  const control::ControlConfig& ctl = spec.control;
   if (ctl.enabled && !spec.telemetry.enabled)
     err("control.enabled", "requires telemetry.enabled (the counter plane drives it)");
   if (ctl.evict_storm < 1) err("control.evict_storm", "must be >= 1");

@@ -7,11 +7,15 @@
 //
 // The programmatic option structs the drivers already take
 // (sim::RoundOptions, proto::ProtocolConfig, des-style toggles,
-// sim::SweepOptions, fleet::FleetOptions, sim::WorkloadParams) are the
-// spec's *backing fields*, so a driver built from a spec is the same object
-// a hand-wired main would construct — bit-identical results, pinned by
-// tests/config/. Factories live in config/factory.hpp; the uwp_run CLI
-// (tools/uwp_run.cpp) is the standard way to execute a spec file.
+// sim::SweepOptions, fleet::FleetOptions, sim::WorkloadParams,
+// telemetry::FlightOptions, control::ControlConfig) are the spec's *backing
+// fields*, so a driver built from a spec is the same object a hand-wired
+// main would construct — bit-identical results, pinned by tests/config/.
+// spec.cpp names each serialized field once, in one field list per section
+// that both the JSON writer and the strict reader walk; a backing-struct
+// member missing from its list is not a spec key. Factories live in
+// config/factory.hpp; the uwp_run CLI (tools/uwp_run.cpp) is the standard
+// way to execute a spec file.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "config/json.hpp"
+#include "control/policy.hpp"
 #include "core/tracker.hpp"
 #include "fleet/server.hpp"
 #include "fleet/service.hpp"
@@ -27,6 +32,7 @@
 #include "sim/fleet_workload.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "telemetry/collector.hpp"
 #include "util/geometry.hpp"
 
 namespace uwp::config {
@@ -150,44 +156,7 @@ struct TelemetrySpec {
   // Flight recorder (telemetry.flight{}): bounded per-stream buffer of
   // recent events, dumped on anomaly triggers. Thresholds are counter sums
   // per telemetry window.
-  struct FlightSpec {
-    std::size_t capacity = 256;  // retained events per stream; 0 disables
-    std::size_t max_dumps = 4;   // dump budget per stream
-    std::size_t evict_storm = 8;
-    std::size_t shed_burst = 16;
-    std::size_t localize_failures = 8;
-  };
-  FlightSpec flight{};
-};
-
-// Control section (serve mode): the self-tuning control plane
-// (src/control/README.md). When enabled (requires telemetry.enabled), the
-// run folds each closed counter window through the policy chain and applies
-// the resulting knob bundle — arena cache policy/retention, shaper
-// rate/burst/defer budget, solver search threads. The window length is the
-// telemetry window (telemetry.window_ticks); every decision is a pure
-// function of (window index, counter snapshot, this section), so the
-// emitted ControlLog is byte-identical at any worker/thread count.
-struct ControlSpec {
-  bool enabled = false;
-  // Per-policy gates (all pure subsets of the same fold).
-  bool arena = true;
-  bool shaper = true;
-  bool solver = true;
-  // Arena tuner: evictions per window that count as a storm, and the
-  // retention band (free-list entries kept per group size).
-  std::uint64_t evict_storm = 8;
-  std::size_t retain_base = 4;
-  std::size_t retain_max = 64;
-  // Shaper tuner: multiplicative rate step per pressured window and the cap
-  // (baseline rate x multiplier).
-  double rate_step = 1.25;
-  double rate_max_multiplier = 4.0;
-  // Solver tuner: mean solver iterations per round above/below which the
-  // pruned-search thread count doubles/halves.
-  std::uint64_t solver_iters_high = 400;
-  std::uint64_t solver_iters_low = 64;
-  std::size_t max_search_threads = 8;
+  telemetry::FlightOptions flight{};
 };
 
 struct ScenarioSpec {
@@ -205,7 +174,16 @@ struct ScenarioSpec {
   sim::SweepOptions sweep{};
   FleetSpec fleet{};
   TelemetrySpec telemetry{};
-  ControlSpec control{};
+  // Control section (serve mode): the self-tuning control plane
+  // (src/control/README.md). When enabled (requires telemetry.enabled), the
+  // run folds each closed counter window through the policy chain and
+  // applies the resulting knob bundle — arena cache policy/retention, shaper
+  // rate/burst/defer budget, solver search threads. The window length is
+  // the telemetry window (telemetry.window_ticks), so window_ticks here is
+  // not serialized; every decision is a pure function of (window index,
+  // counter snapshot, this section), so the emitted ControlLog is
+  // byte-identical at any worker/thread count.
+  control::ControlConfig control{};
 };
 
 // --- serialization ----------------------------------------------------------

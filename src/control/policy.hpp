@@ -17,7 +17,10 @@
 
 namespace uwp::control {
 
-// Engine + policy tuning knobs, spec-derived (config::make_control_config).
+// Engine + policy tuning knobs. This struct is also the spec's "control"
+// section (config::ScenarioSpec::control): every member except window_ticks
+// is a spec key, named once in config/spec.cpp's control field list, and
+// config::make_control_config returns it validated.
 struct ControlConfig {
   bool enabled = false;
   // Per-policy enables: the three built-ins can be gated independently.

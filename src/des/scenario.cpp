@@ -1,15 +1,32 @@
 #include "des/scenario.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
+#include "des/session_source.hpp"
 #include "pipeline/round_pipeline.hpp"
 
 namespace uwp::des {
 
-namespace {
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+void check_world(const DesScenarioConfig& cfg, const MobilityModel* mobility,
+                 std::size_t audio_configs, const Matrix& connectivity) {
+  if (mobility == nullptr) throw std::invalid_argument("des: null mobility");
+  const std::size_t n = mobility->size();
+  if (n < 2) throw std::invalid_argument("des: need >= 2 nodes");
+  if (audio_configs != n)
+    throw std::invalid_argument("des: audio config count != node count");
+  if (cfg.protocol.num_devices != n)
+    throw std::invalid_argument("des: protocol.num_devices != node count");
+  if (connectivity.rows() != n || connectivity.cols() != n)
+    throw std::invalid_argument("des: connectivity shape mismatch");
+}
+
+double round_period_s(const DesScenarioConfig& cfg) {
+  if (cfg.round_period_s > 0.0) return cfg.round_period_s;
+  // Even a wrap-around relay slot has landed by the worst-case round trip;
+  // one packet length covers the tail transmission, the margin covers
+  // propagation and audio scheduling slop.
+  return proto::round_trip_worst_case(cfg.protocol) + 2.0 * cfg.protocol.t_packet_s + 1.0;
 }
 
 DesScenario::DesScenario(DesScenarioConfig cfg,
@@ -20,130 +37,15 @@ DesScenario::DesScenario(DesScenarioConfig cfg,
       mobility_(std::move(mobility)),
       audio_(std::move(audio)),
       connectivity_(std::move(connectivity)) {
-  if (!mobility_) throw std::invalid_argument("DesScenario: null mobility");
-  const std::size_t n = mobility_->size();
-  if (n < 2) throw std::invalid_argument("DesScenario: need >= 2 nodes");
-  if (audio_.size() != n)
-    throw std::invalid_argument("DesScenario: audio config count != node count");
-  if (cfg_.protocol.num_devices != n)
-    throw std::invalid_argument("DesScenario: protocol.num_devices != node count");
-  if (connectivity_.rows() != n || connectivity_.cols() != n)
-    throw std::invalid_argument("DesScenario: connectivity shape mismatch");
+  check_world(cfg_, mobility_.get(), audio_.size(), connectivity_);
   if (cfg_.rounds == 0) throw std::invalid_argument("DesScenario: rounds == 0");
-}
-
-double DesScenario::round_period_s() const {
-  if (cfg_.round_period_s > 0.0) return cfg_.round_period_s;
-  // Even a wrap-around relay slot has landed by the worst-case round trip;
-  // one packet length covers the tail transmission, the margin covers
-  // propagation and audio scheduling slop.
-  return proto::round_trip_worst_case(cfg_.protocol) + 2.0 * cfg_.protocol.t_packet_s +
-         1.0;
-}
-
-DesFrontEnd::DesFrontEnd(const DesScenarioConfig& cfg, Simulator& sim,
-                         AcousticMedium& medium, std::vector<ProtocolNode>& nodes,
-                         const MobilityModel& mobility, double round_period_s)
-    : cfg_(cfg),
-      sim_(sim),
-      medium_(medium),
-      nodes_(nodes),
-      mobility_(mobility),
-      period_(round_period_s) {}
-
-void DesFrontEnd::measure(pipeline::RoundMeasurement& out, uwp::Rng& rng) {
-  const std::size_t n = nodes_.size();
-  const double t0 = static_cast<double>(round_) * period_;
-  // Same expression as the next round's t0 — `t0 + period` can differ
-  // from it by one ulp, which would put the next leader event "in the
-  // past" after run_until() advanced the clock.
-  const double t_end = static_cast<double>(round_ + 1) * period_;
-  medium_.begin_round(round_);
-  for (ProtocolNode& node : nodes_) node.begin_round(t0);
-  sim_.run_until(t_end);
-
-  // Assemble the round's timestamp table from the per-node state machines.
-  out.protocol.timestamps.assign(n, n, kNaN);
-  out.protocol.heard.assign(n, n, 0.0);
-  out.protocol.sync_ref.assign(n, std::numeric_limits<std::size_t>::max());
-  out.protocol.tx_global.assign(n, kNaN);
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeRoundState& st = nodes_[i].state();
-    out.protocol.sync_ref[i] = st.sync_ref;
-    // Round-local transmit time, comparable to the closed form's
-    // leader-at-zero convention.
-    out.protocol.tx_global[i] =
-        std::isnan(st.tx_global_s) ? kNaN : st.tx_global_s - t0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!st.heard[j]) continue;
-      out.protocol.timestamps(i, j) = st.timestamps[j];
-      out.protocol.heard(i, j) = 1.0;
-    }
-  }
-  out.protocol.round_duration_s =
-      std::max(0.0, medium_.stats().last_activity_s - t0);
-
-  // Ground truth at the round start (the paper evaluates each round as an
-  // independent snapshot; a mover's intra-round drift becomes error).
-  const Vec3 leader_pos = mobility_.position(0, t0);
-  out.truth_pos.resize(n);
-  out.truth_xy.resize(n);
-  out.truth_depths.resize(n);
-  out.depths.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec3 pos = mobility_.position(i, t0);
-    out.truth_pos[i] = pos;
-    out.truth_xy[i] = (pos - leader_pos).xy();
-    out.truth_depths[i] = pos.z;
-    out.depths[i] = cfg_.depth_sensor.read(pos.z, rng);
-  }
-
-  // Leader pointing toward node 1 plus fast-mode dual-mic flip votes
-  // (the same reliability model sim::ScenarioRunner fast mode uses).
-  const Vec2 to_dev1 = out.truth_xy[1];
-  out.pointing_bearing_rad =
-      cfg_.pointing.point(bearing(to_dev1), to_dev1.norm(), rng);
-  out.votes.clear();
-  for (std::size_t i = 2; i < n; ++i) {
-    if (out.protocol.heard(0, i) <= 0.0) continue;
-    const int sign = pipeline::fast_vote_sign(out.truth_xy[i], to_dev1, rng);
-    if (sign != 0) out.votes.push_back({i, sign});
-  }
-
-  ++round_;
 }
 
 DesScenarioResult DesScenario::run(uwp::Rng& rng, sim::PacketTrace* trace) const {
   const std::size_t n = size();
-  const double period = round_period_s();
-
-  Simulator sim;
-  MediumConfig mc;
-  mc.sound_speed_mps = cfg_.protocol.sound_speed_mps;
-  mc.packet_duration_s = cfg_.protocol.t_packet_s;
-  mc.max_range_m = cfg_.max_range_m;
-  AcousticMedium medium(mc, &sim, mobility_.get(), connectivity_);
-  medium.set_trace(trace);
-
-  // Arrival detection error, drawn per packet in event order (deterministic
-  // given the scheduler's stable ordering). The shared ArrivalErrorModel
-  // mirrors sim::ScenarioRunner fast mode.
-  if (!cfg_.ideal_arrivals) {
-    medium.set_error_hook([this, &rng, &sim](std::size_t at, std::size_t from) {
-      const double t = sim.now();
-      const double range =
-          distance(mobility_->position(at, t), mobility_->position(from, t));
-      return cfg_.arrival.sample_seconds(range, cfg_.protocol.sound_speed_mps, rng);
-    });
-  }
-
-  std::vector<ProtocolNode> nodes;
-  nodes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    nodes.emplace_back(i, cfg_.protocol, audio_[i], &sim, &medium);
-  medium.set_sink([&nodes](std::size_t rx, std::size_t src, double detected) {
-    nodes[rx].on_packet(src, detected);
-  });
+  DesSessionSource source(cfg_, mobility_, audio_, connectivity_);
+  source.set_trace(trace);
+  const double period = source.round_period_s();
 
   // The shared leader-side chain, with tracking enabled.
   pipeline::PipelineOptions popts;
@@ -155,21 +57,20 @@ DesScenarioResult DesScenario::run(uwp::Rng& rng, sim::PacketTrace* trace) const
   popts.tracker = cfg_.tracker;
   pipeline::RoundPipeline pipe(popts);
 
-  DesFrontEnd front_end(cfg_, sim, medium, nodes, *mobility_, period);
   pipeline::RoundMeasurement meas;
 
   DesScenarioResult out;
   out.rounds.reserve(cfg_.rounds);
 
   for (std::size_t r = 0; r < cfg_.rounds; ++r) {
-    front_end.measure(meas, rng);
+    source.measure(meas, rng);
     const pipeline::RoundOutput& po =
         pipe.run_round(meas, rng, r == 0 ? 0.0 : period);
 
     DesRound round;
     round.index = r;
     round.t_start_s = static_cast<double>(r) * period;
-    round.medium = medium.stats();
+    round.medium = source.medium_stats();
     round.protocol = meas.protocol;  // post-quantization leader view
     round.ranging = po.ranging;
     round.localized = po.localized;

@@ -1,14 +1,14 @@
 // Multi-round packet-level scenario driver: the DES counterpart of
 // sim::ScenarioRunner. Each round the leader opens the slot schedule on the
 // shared AcousticMedium, the ProtocolNode state machines produce a local
-// timestamp table exactly as firmware would, and DesFrontEnd — the DES
-// implementation of pipeline::MeasurementModel — assembles it (plus depths,
-// pointing, and flip votes) into a pipeline::RoundMeasurement consumed by
-// the shared pipeline::RoundPipeline (quantize -> proto::RangingSolver ->
-// core::Localizer -> core::GroupTracker -> error metrics). What this adds
-// over the closed form: many rounds, motion *during* a round, half-duplex/
-// collision losses, range-gated links, and packet loss that unfolds over
-// time.
+// timestamp table exactly as firmware would, and DesSessionSource — the DES
+// implementation of pipeline::MeasurementModel (des/session_source.hpp) —
+// assembles it (plus depths, pointing, and flip votes) into a
+// pipeline::RoundMeasurement consumed by the shared pipeline::RoundPipeline
+// (quantize -> proto::RangingSolver -> core::Localizer -> core::GroupTracker
+// -> error metrics). What this adds over the closed form: many rounds,
+// motion *during* a round, half-duplex/collision losses, range-gated links,
+// and packet loss that unfolds over time.
 //
 // Determinism: a run consumes only its caller's uwp::Rng (arrival errors,
 // sensor noise, votes, localizer) in event order, which the scheduler makes
@@ -23,9 +23,7 @@
 #include "core/tracker.hpp"
 #include "des/medium.hpp"
 #include "des/mobility.hpp"
-#include "des/protocol_node.hpp"
 #include "pipeline/arrival_error.hpp"
-#include "pipeline/measurement.hpp"
 #include "proto/ranging_solver.hpp"
 #include "sensors/depth_sensor_model.hpp"
 #include "sensors/pointing_model.hpp"
@@ -85,31 +83,15 @@ struct DesScenarioResult {
   std::vector<double> tracked_errors;
 };
 
-// The packet-level front-end: each measure() call runs one slot-schedule
-// round of the ProtocolNode state machines on the shared AcousticMedium and
-// assembles the resulting timestamp table, depth readings, leader pointing,
-// and fast-model flip votes. Holds references only — the simulator, medium,
-// nodes, and mobility must outlive it.
-class DesFrontEnd final : public pipeline::MeasurementModel {
- public:
-  DesFrontEnd(const DesScenarioConfig& cfg, Simulator& sim, AcousticMedium& medium,
-              std::vector<ProtocolNode>& nodes, const MobilityModel& mobility,
-              double round_period_s);
+// Throws std::invalid_argument unless a DES world's parts agree: a mobility
+// model of >= 2 nodes, one audio config per node, protocol.num_devices equal
+// to the node count, and an n x n connectivity matrix.
+void check_world(const DesScenarioConfig& cfg, const MobilityModel* mobility,
+                 std::size_t audio_configs, const Matrix& connectivity);
 
-  std::size_t size() const override { return nodes_.size(); }
-  std::size_t rounds_run() const { return round_; }
-
-  void measure(pipeline::RoundMeasurement& out, uwp::Rng& rng) override;
-
- private:
-  const DesScenarioConfig& cfg_;
-  Simulator& sim_;
-  AcousticMedium& medium_;
-  std::vector<ProtocolNode>& nodes_;
-  const MobilityModel& mobility_;
-  double period_;
-  std::size_t round_ = 0;
-};
+// Gap between round starts: cfg.round_period_s, or when that is 0 the
+// worst-case relay round trip plus a packet and a settling margin.
+double round_period_s(const DesScenarioConfig& cfg);
 
 class DesScenario {
  public:
@@ -122,11 +104,12 @@ class DesScenario {
 
   const DesScenarioConfig& config() const { return cfg_; }
   std::size_t size() const { return audio_.size(); }
-  double round_period_s() const;
+  double round_period_s() const { return des::round_period_s(cfg_); }
 
-  // Run all rounds. Thread-safe for concurrent calls with distinct Rngs
-  // (all mutable state lives on the stack). `trace`, when given, receives
-  // every packet event of this run (serial use only).
+  // Run all rounds through a DesSessionSource built on the stack.
+  // Thread-safe for concurrent calls with distinct Rngs (all mutable state
+  // lives on the stack). `trace`, when given, receives every packet event
+  // of this run (serial use only).
   DesScenarioResult run(uwp::Rng& rng, sim::PacketTrace* trace = nullptr) const;
 
  private:

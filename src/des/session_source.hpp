@@ -1,12 +1,10 @@
-// A persistent packet-level session source for the fleet layer. DesScenario
-// builds its simulator, medium and nodes on the stack for one batch run;
-// a *serving* session instead needs the whole DES world to live as long as
-// the session does, producing one round per measure() call across the
-// session's lifetime. DesSessionSource owns that world (event queue, medium,
-// protocol-node state machines, mobility) and exposes it through the same
-// pipeline::MeasurementModel contract every other front-end uses, so a
-// fleet session backed by full packet physics is a drop-in for one backed
-// by the closed form.
+// The packet-level measurement front-end. DesSessionSource owns a whole DES
+// world (event queue, medium, protocol-node state machines, mobility) and
+// produces one round per measure() call across its lifetime, through the
+// same pipeline::MeasurementModel contract every other front-end uses. A
+// fleet session backed by full packet physics keeps one for the session's
+// life, a drop-in for one backed by the closed form; DesScenario::run builds
+// one on its stack for a batch run.
 #pragma once
 
 #include <memory>
@@ -17,13 +15,14 @@
 #include "des/protocol_node.hpp"
 #include "des/scenario.hpp"
 #include "pipeline/measurement.hpp"
+#include "sim/trace.hpp"
 
 namespace uwp::des {
 
 class DesSessionSource final : public pipeline::MeasurementModel {
  public:
   // Same construction contract as DesScenario (cfg.rounds is ignored — the
-  // fleet decides the session's lifetime). The mobility model is shared,
+  // caller decides how many rounds to run). The mobility model is shared,
   // not owned. Non-movable: the medium, nodes and hooks hold pointers into
   // each other, so fleet arenas keep it behind a unique_ptr.
   DesSessionSource(DesScenarioConfig cfg, std::shared_ptr<const MobilityModel> mobility,
@@ -33,13 +32,17 @@ class DesSessionSource final : public pipeline::MeasurementModel {
   DesSessionSource& operator=(const DesSessionSource&) = delete;
 
   std::size_t size() const override { return nodes_.size(); }
-  std::size_t rounds_run() const { return front_end_->rounds_run(); }
+  std::size_t rounds_run() const { return round_; }
   double round_period_s() const { return period_; }
   const MediumStats& medium_stats() const { return medium_->stats(); }
 
+  // Every packet event of later rounds goes to `trace` (nullptr: none).
+  void set_trace(sim::PacketTrace* trace) { medium_->set_trace(trace); }
+
   // Run one full slot-schedule round of the packet simulation and assemble
-  // its measurement. The rng drives per-packet arrival errors (in event
-  // order), sensor noise and votes — exactly DesScenario's draw order.
+  // its timestamp table, depth readings, leader pointing and fast-model
+  // flip votes. The rng drives per-packet arrival errors (in event order),
+  // sensor noise and votes.
   void measure(pipeline::RoundMeasurement& out, uwp::Rng& rng) override;
 
  private:
@@ -51,7 +54,7 @@ class DesSessionSource final : public pipeline::MeasurementModel {
   Simulator sim_;
   std::unique_ptr<AcousticMedium> medium_;
   std::vector<ProtocolNode> nodes_;
-  std::unique_ptr<DesFrontEnd> front_end_;
+  std::size_t round_ = 0;
   uwp::Rng* round_rng_ = nullptr;  // valid only inside measure()
 };
 

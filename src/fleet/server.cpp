@@ -295,11 +295,10 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   out.stats.workers_used = workers;
   out.schedule = scheduler.take_schedule();
   out.schedule_digest = ingest_schedule_digest(out.schedule);
-  out.stats.schedule_mismatches =
-      engine != nullptr
-          ? verify_ingest_schedule(out.schedule, opts_.shaping, workload_.size(),
-                                   engine->log().actions, window_s)
-          : verify_ingest_schedule(out.schedule, opts_.shaping, workload_.size());
+  std::span<const control::ControlAction> actions;
+  if (engine != nullptr) actions = engine->log().actions;
+  out.stats.schedule_mismatches = verify_ingest_schedule(
+      out.schedule, opts_.shaping, workload_.size(), actions, window_s);
   return out;
 }
 

@@ -232,11 +232,6 @@ std::size_t schedule_mismatches(std::span<const IngestRecord> recorded,
 }  // namespace
 
 std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
-                                   const ShaperOptions& opts, std::size_t sessions) {
-  return verify_ingest_schedule(recorded, opts, sessions, {}, 0.0);
-}
-
-std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
                                    const ShaperOptions& opts, std::size_t sessions,
                                    std::span<const control::ControlAction> actions,
                                    double window_s) {

@@ -222,20 +222,14 @@ class IngestScheduler {
 
 // Recompute every decision from the recorded arrivals (the deterministic
 // inputs alone) and count records that disagree with the recording — the
-// schedule-level recorded-vs-recomputed verifier. 0 means the recording is
-// exactly what these options produce.
-std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
-                                   const ShaperOptions& opts, std::size_t sessions);
-
-// Control-aware re-verification: replays the recorded arrivals while
-// re-applying the ControlLog's shaper retunes at the same virtual-time
-// window boundaries the live ingest loop used (boundary length `window_s`,
-// actions in log order). With an empty action span and window_s <= 0 this
-// degenerates to the overload above. 0 mismatches means the recording is
-// exactly what (options, control log) produce.
+// schedule-level recorded-vs-recomputed verifier. For a controlled run it
+// re-applies the ControlLog's shaper retunes at the same virtual-time window
+// boundaries the live ingest loop used (boundary length `window_s`, actions
+// in log order); the defaults verify an uncontrolled run. 0 mismatches
+// means the recording is exactly what (options, control log) produce.
 std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
                                    const ShaperOptions& opts, std::size_t sessions,
-                                   std::span<const control::ControlAction> actions,
-                                   double window_s);
+                                   std::span<const control::ControlAction> actions = {},
+                                   double window_s = 0.0);
 
 }  // namespace uwp::fleet

@@ -46,6 +46,7 @@ namespace uwp::telemetry {
 // tail incidents are debuggable after the fact. Thresholds are per-window
 // counter sums: a trigger fires on the count() that raises its counter's
 // page value from below the threshold to at or above it (0 never fires).
+// Also the spec's telemetry.flight section (config::TelemetrySpec::flight).
 struct FlightOptions {
   std::size_t capacity = 256;  // events retained per stream; 0 disables
   std::size_t max_dumps = 4;   // dump budget per stream

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -137,7 +138,53 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.telemetry.flight.shed_burst = static_cast<std::size_t>(rng.uniform_int(1, 64));
   s.telemetry.flight.localize_failures =
       static_cast<std::size_t>(rng.uniform_int(1, 64));
+
+  // Drawn last so the sections above keep their draws. Ranges reach past
+  // what validation accepts: serialization is full fidelity either way.
+  s.control.enabled = rng.bernoulli(0.5);
+  s.control.arena = rng.bernoulli(0.5);
+  s.control.shaper = rng.bernoulli(0.5);
+  s.control.solver = rng.bernoulli(0.5);
+  s.control.evict_storm = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)) << 30;
+  s.control.retain_base = static_cast<std::size_t>(rng.uniform_int(0, 64));
+  s.control.retain_max = static_cast<std::size_t>(rng.uniform_int(0, 512));
+  s.control.rate_step = include_nan && rng.bernoulli(0.3)
+                            ? std::numeric_limits<double>::quiet_NaN()
+                            : rng.uniform(0.5, 3.0);
+  s.control.rate_max_multiplier = rng.uniform(0.5, 10.0);
+  s.control.solver_iters_high = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
+  s.control.solver_iters_low = static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
+  s.control.max_search_threads = static_cast<std::size_t>(rng.uniform_int(0, 2048));
   return s;
+}
+
+// bit_equal compares writer outputs, so a member missing from its section's
+// field list would drop out of both sides unseen. The sections backed by
+// driver structs (control, telemetry.flight) are compared member by member,
+// doubles bitwise.
+void expect_backing_members_equal(const ScenarioSpec& a, const ScenarioSpec& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const control::ControlConfig& ca = a.control;
+  const control::ControlConfig& cb = b.control;
+  EXPECT_EQ(ca.enabled, cb.enabled);
+  EXPECT_EQ(ca.arena, cb.arena);
+  EXPECT_EQ(ca.shaper, cb.shaper);
+  EXPECT_EQ(ca.solver, cb.solver);
+  EXPECT_EQ(ca.evict_storm, cb.evict_storm);
+  EXPECT_EQ(ca.retain_base, cb.retain_base);
+  EXPECT_EQ(ca.retain_max, cb.retain_max);
+  EXPECT_EQ(bits(ca.rate_step), bits(cb.rate_step));
+  EXPECT_EQ(bits(ca.rate_max_multiplier), bits(cb.rate_max_multiplier));
+  EXPECT_EQ(ca.solver_iters_high, cb.solver_iters_high);
+  EXPECT_EQ(ca.solver_iters_low, cb.solver_iters_low);
+  EXPECT_EQ(ca.max_search_threads, cb.max_search_threads);
+  const telemetry::FlightOptions& fa = a.telemetry.flight;
+  const telemetry::FlightOptions& fb = b.telemetry.flight;
+  EXPECT_EQ(fa.capacity, fb.capacity);
+  EXPECT_EQ(fa.max_dumps, fb.max_dumps);
+  EXPECT_EQ(fa.evict_storm, fb.evict_storm);
+  EXPECT_EQ(fa.shed_burst, fb.shed_burst);
+  EXPECT_EQ(fa.localize_failures, fb.localize_failures);
 }
 
 TEST(SpecRoundTrip, DefaultSpecSurvivesBothFormats) {
@@ -167,6 +214,7 @@ TEST(SpecRoundTrip, RandomSpecsFieldEqualIncludingNanAndHexfloat) {
     for (const bool hexfloat : {false, true}) {
       const ScenarioSpec back = parse_spec(write_spec(spec, hexfloat));
       ASSERT_TRUE(bit_equal(spec, back)) << "spec " << i << " hexfloat=" << hexfloat;
+      expect_backing_members_equal(spec, back);
     }
   }
 }
@@ -221,6 +269,10 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
                      "telemetry.trace.max_span");
   expect_parse_error(R"({"telemetry": {"flight": {"capacity": true}}})",
                      "telemetry.flight.capacity");
+  expect_parse_error(R"({"control": {"rate_step": "fast"}})", "control.rate_step");
+  // Backing-struct members kept only for perfbench/ are not spec keys.
+  expect_parse_error(R"({"control": {"window_ticks": 4}})", "control.window_ticks");
+  expect_parse_error(R"({"fleet": {"batch_rounds": false}})", "fleet.batch_rounds");
 }
 
 // --- validation failures (range/consistency errors, one per field) ----------
