@@ -194,7 +194,7 @@ control::ShardControls make_control_baseline(const ScenarioSpec& spec) {
   // Shaper knobs start at the configured shaping section; everything else
   // at the ShardControls defaults (LRU, unbounded retention, one search
   // thread). A fleet-mode run never consults the shaper fields (the
-  // ShaperTunerPolicy is inert at rate 0 and the fleet has no shaper).
+  // control::tune_shaper is inert at rate 0 and the fleet has no shaper).
   const fleet::ShaperOptions& sh = spec.fleet.server.options.shaping;
   base.shaper_rate = sh.rate_rounds_per_s;
   base.shaper_burst = sh.burst_rounds;

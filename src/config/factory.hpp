@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "config/spec.hpp"
-#include "control/policy.hpp"
+#include "control/policies.hpp"
 #include "des/scenario.hpp"
 #include "fleet/service.hpp"
 #include "sim/deployment.hpp"

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "config/json.hpp"
-#include "control/policy.hpp"
+#include "control/policies.hpp"
 #include "core/tracker.hpp"
 #include "fleet/server.hpp"
 #include "fleet/service.hpp"
@@ -136,8 +136,9 @@ struct FleetSpec {
 // (src/telemetry/README.md spells out the contract).
 struct TelemetrySpec {
   bool enabled = false;
-  // false: keep counters but skip every clock read (no span histograms) —
-  // the near-zero-overhead setting for production-shaped benchmarks.
+  // false: keep counters but skip the span and sample histograms, and every
+  // clock read unless trace is on — the near-zero-overhead setting for
+  // production-shaped benchmarks.
   bool timing = true;
   // Counter window width in scheduler ticks. Serve mode scales it by
   // fleet.server.tick_period_s so both modes window the same virtual

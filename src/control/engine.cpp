@@ -1,33 +1,12 @@
 #include "control/engine.hpp"
 
-#include <cstring>
-
-#include "control/policies.hpp"
+#include "util/hash.hpp"
 
 namespace uwp::control {
-namespace {
-
-bool dbits_equal(double a, double b) {
-  std::uint64_t ua = 0;
-  std::uint64_t ub = 0;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
-}
-
-}  // namespace
 
 ControlEngine::ControlEngine(const ControlConfig& cfg,
                              const ShardControls& baseline)
-    : cfg_(cfg), controls_(baseline) {
-  // Fixed construction order == fixed fold order; part of the determinism
-  // contract (policies compose through the shared ShardControls).
-  if (cfg_.arena) policies_.push_back(std::make_unique<ArenaTunerPolicy>(cfg_));
-  if (cfg_.shaper)
-    policies_.push_back(std::make_unique<ShaperTunerPolicy>(cfg_, baseline));
-  if (cfg_.solver)
-    policies_.push_back(std::make_unique<SolverTunerPolicy>(cfg_));
-}
+    : cfg_(cfg), baseline_(baseline), controls_(baseline) {}
 
 void ControlEngine::bind_stream(telemetry::ShardStream* stream,
                                 double window_span) {
@@ -43,9 +22,12 @@ void ControlEngine::observe_window(std::uint64_t window,
   snap.counts[static_cast<std::size_t>(Counter::kControlWindows)] = 0;
   snap.counts[static_cast<std::size_t>(Counter::kControlActions)] = 0;
 
+  // Fixed fold order; part of the determinism contract (the policies
+  // compose through the shared ShardControls).
   ShardControls next = controls_;
-  for (const std::unique_ptr<Policy>& p : policies_)
-    p->observe(window, snap, next);
+  if (cfg_.arena) tune_arena(cfg_, snap, next);
+  if (cfg_.shaper) tune_shaper(cfg_, baseline_, snap, next);
+  if (cfg_.solver) tune_solver(cfg_, snap, next);
 
   std::uint64_t emitted = 0;
   const auto emit = [&](ActionKind kind, double value) {
@@ -57,9 +39,9 @@ void ControlEngine::observe_window(std::uint64_t window,
          static_cast<double>(static_cast<std::uint8_t>(next.cache_policy)));
   if (next.arena_retain != controls_.arena_retain)
     emit(ActionKind::kArenaRetain, static_cast<double>(next.arena_retain));
-  if (!dbits_equal(next.shaper_rate, controls_.shaper_rate))
+  if (!same_bits(next.shaper_rate, controls_.shaper_rate))
     emit(ActionKind::kShaperRate, next.shaper_rate);
-  if (!dbits_equal(next.shaper_burst, controls_.shaper_burst))
+  if (!same_bits(next.shaper_burst, controls_.shaper_burst))
     emit(ActionKind::kShaperBurst, next.shaper_burst);
   if (next.shaper_max_defers != controls_.shaper_max_defers)
     emit(ActionKind::kShaperMaxDefers,

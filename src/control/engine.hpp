@@ -1,6 +1,6 @@
 // ControlEngine: the deterministic fold from counter snapshots to actions.
 //
-// The engine owns the active ShardControls, the policy chain, and the
+// The engine owns the active ShardControls, the spec baseline, and the
 // ControlLog. At every window boundary its caller (fleet::Server) hands it
 // the merged counter Snapshot for the window that just closed; the engine
 // masks its own control counters out (so offline re-execution sees
@@ -16,12 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "control/actions.hpp"
 #include "control/log.hpp"
-#include "control/policy.hpp"
+#include "control/policies.hpp"
 
 namespace uwp::control {
 
@@ -52,8 +51,8 @@ class ControlEngine {
 
  private:
   ControlConfig cfg_;
+  ShardControls baseline_;
   ShardControls controls_;
-  std::vector<std::unique_ptr<Policy>> policies_;
   ControlLog log_;
   telemetry::ShardStream* stream_ = nullptr;
   double window_span_ = 0.0;

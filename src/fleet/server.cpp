@@ -24,7 +24,7 @@ namespace {
 struct WorkItem {
   IngestFrame frame;
   bool shed = false;
-  double enq_ts = 0.0;   // trace clock at enqueue (0 when not tracing)
+  double enq_ts = 0.0;    // queue span start (0 when no span is recorded)
   double decide_s = 0.0;  // virtual time of the shaper's final verdict
   std::shared_ptr<const control::ShardControls> control;
 };
@@ -124,13 +124,11 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
         return;
       }
 
-      // Close the causal chain: queue residency (enqueue -> this pop) under
-      // the ingest span; run_round arms the pipeline with the same id.
-      if (tel != nullptr && tel->trace_enabled()) {
-        const std::uint64_t trace_id = telemetry::make_trace_id(id, item.frame.round);
-        tel->trace_span(trace_id, telemetry::TraceOp::kQueue, telemetry::TraceOp::kIngest,
-                        item.enq_ts);
-      }
+      // Queue residency (dispatch -> round start), traced under the ingest
+      // span; run_round arms the pipeline with the same trace id.
+      if (tel != nullptr)
+        tel->span_end(telemetry::TraceOp::kQueue, item.enq_ts,
+                      telemetry::make_trace_id(id, item.frame.round));
 
       pipeline::RoundMeasurement& meas = s.measurement();
       std::size_t pos = 0;
@@ -179,8 +177,9 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
     item.frame = std::move(f);
     item.shed = shed;
     item.decide_s = decide_s;
-    if (ingest_tel != nullptr && ingest_tel->trace_enabled())
-      item.enq_ts = ingest_tel->trace_now();
+    // Only a frame that runs a round closes a queue span.
+    if (ingest_tel != nullptr && !shed && item.frame.kind == IngestKind::kMeasurement)
+      item.enq_ts = ingest_tel->span_begin();
     queues[w]->push(std::move(item));
     ++dispatched[w];
   };
@@ -226,23 +225,21 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
         ingest_tel != nullptr && ingest_tel->trace_enabled();
     while (transport.recv(bytes)) {
       ++out.stats.frames_received;
-      const double trace_ts0 = tracing ? ingest_tel->trace_now() : 0.0;
-      telemetry::SpanTimer span(ingest_tel, telemetry::Stage::kIngest);
+      const double ingest_ts0 = ingest_tel != nullptr ? ingest_tel->span_begin() : 0.0;
       decode_ingest_frame(bytes, frame);
       if (engine != nullptr) cross_boundaries(frame.t_s);
-      // Trace root of the serve-side chain: one kIngest span per
-      // measurement frame covering decode + the shaper's verdict, tagged
-      // before on_frame consumes the frame.
+      // One kIngest span per frame covering decode + the shaper's verdict;
+      // a measurement frame's is the trace root of the serve-side chain,
+      // tagged before on_frame consumes the frame.
       const std::uint64_t trace_id =
           tracing && frame.kind == IngestKind::kMeasurement
               ? telemetry::make_trace_id(frame.session_id, frame.round)
               : 0;
       const double frame_t_s = frame.t_s;
       scheduler.on_frame(std::move(frame), dispatch);
-      if (trace_id != 0) {
-        ingest_tel->set_time(frame_t_s);
-        ingest_tel->trace_span(trace_id, telemetry::TraceOp::kIngest,
-                               telemetry::TraceOp::kNone, trace_ts0);
+      if (ingest_tel != nullptr) {
+        if (trace_id != 0) ingest_tel->set_time(frame_t_s);
+        ingest_tel->span_end(telemetry::TraceOp::kIngest, ingest_ts0, trace_id);
       }
       frame.clear();
     }

@@ -1,6 +1,5 @@
 #include "fleet/session.hpp"
 
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -16,15 +15,6 @@ std::uint64_t session_stream_seed(std::uint64_t master_seed, std::uint64_t sessi
                                   std::uint64_t stream) {
   return sim::trial_seed(master_seed ^ stream, session_id);
 }
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix(std::uint64_t& h, double v) { fnv_mix(h, std::bit_cast<std::uint64_t>(v)); }
 
 // --- SessionMetrics ---------------------------------------------------------
 
@@ -59,9 +49,7 @@ bool SessionMetrics::bit_equal(const SessionMetrics& o) const {
       errors.size() != o.errors.size())
     return false;
   for (std::size_t i = 0; i < errors.size(); ++i)
-    if (std::bit_cast<std::uint64_t>(errors[i]) !=
-        std::bit_cast<std::uint64_t>(o.errors[i]))
-      return false;
+    if (!same_bits(errors[i], o.errors[i])) return false;
   return true;
 }
 
@@ -140,7 +128,6 @@ std::unique_ptr<SessionRuntime> ShardArena::lease(const pipeline::PipelineOption
     ++stats.hits;
     stats.rebind_cost += cost;
     if (telemetry_ != nullptr) {
-      telemetry_->sample(telemetry::Sample::kArenaReuse, 1.0);
       telemetry_->sample(telemetry::Sample::kArenaFreeHit, double(n));
       telemetry_->sample(telemetry::Sample::kArenaRebindCost, double(cost));
     }

@@ -29,6 +29,7 @@
 #include "pipeline/closed_form.hpp"
 #include "pipeline/round_pipeline.hpp"
 #include "sim/fleet_workload.hpp"
+#include "util/hash.hpp"
 #include "util/stats.hpp"
 
 namespace uwp::telemetry {
@@ -50,14 +51,6 @@ std::uint64_t session_stream_seed(std::uint64_t master_seed, std::uint64_t sessi
                                   std::uint64_t stream);
 
 // --- metrics ----------------------------------------------------------------
-
-inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-// FNV-1a over the 8 bytes of `v`, little-endian. The fleet's bit-identity
-// checks hash every round output through this.
-void fnv_mix(std::uint64_t& h, std::uint64_t v);
-void fnv_mix(std::uint64_t& h, double v);
 
 // Per-session outcome record. `digest` folds every event (round or coast)
 // in order — localized flags, error vectors, stress — so two runs agree on

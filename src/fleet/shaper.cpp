@@ -1,7 +1,6 @@
 #include "fleet/shaper.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -33,8 +32,7 @@ const char* to_string(IngestDecision decision) {
 }
 
 bool bit_equal(const IngestRecord& a, const IngestRecord& b) {
-  const auto db = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  return db(a.arrival_s) == db(b.arrival_s) && db(a.decide_s) == db(b.decide_s) &&
+  return same_bits(a.arrival_s, b.arrival_s) && same_bits(a.decide_s, b.decide_s) &&
          a.session_id == b.session_id && a.round == b.round && a.kind == b.kind &&
          a.decision == b.decision && a.defers == b.defers;
 }

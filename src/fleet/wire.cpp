@@ -130,12 +130,10 @@ std::size_t checked_n(const pipeline::RoundMeasurement& m) {
   return n;
 }
 
-std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 bool bit_equal(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i)
-    if (dbits(a[i]) != dbits(b[i])) return false;
+    if (!same_bits(a[i], b[i])) return false;
   return true;
 }
 
@@ -144,7 +142,7 @@ bool bit_equal(const Matrix& a, const Matrix& b) {
   const auto da = a.data();
   const auto db = b.data();
   for (std::size_t i = 0; i < da.size(); ++i)
-    if (dbits(da[i]) != dbits(db[i])) return false;
+    if (!same_bits(da[i], db[i])) return false;
   return true;
 }
 
@@ -309,31 +307,31 @@ bool bit_equal(const pipeline::RoundMeasurement& a, const pipeline::RoundMeasure
   if (!bit_equal(a.protocol.heard, b.protocol.heard)) return false;
   if (a.protocol.sync_ref != b.protocol.sync_ref) return false;
   if (!bit_equal(a.protocol.tx_global, b.protocol.tx_global)) return false;
-  if (dbits(a.protocol.round_duration_s) != dbits(b.protocol.round_duration_s))
+  if (!same_bits(a.protocol.round_duration_s, b.protocol.round_duration_s))
     return false;
   if (!bit_equal(a.depths, b.depths)) return false;
-  if (dbits(a.pointing_bearing_rad) != dbits(b.pointing_bearing_rad)) return false;
+  if (!same_bits(a.pointing_bearing_rad, b.pointing_bearing_rad)) return false;
   if (a.votes.size() != b.votes.size()) return false;
   for (std::size_t i = 0; i < a.votes.size(); ++i)
     if (a.votes[i].node != b.votes[i].node || a.votes[i].mic_sign != b.votes[i].mic_sign)
       return false;
   if (a.truth_pos.size() != b.truth_pos.size()) return false;
   for (std::size_t i = 0; i < a.truth_pos.size(); ++i)
-    if (dbits(a.truth_pos[i].x) != dbits(b.truth_pos[i].x) ||
-        dbits(a.truth_pos[i].y) != dbits(b.truth_pos[i].y) ||
-        dbits(a.truth_pos[i].z) != dbits(b.truth_pos[i].z))
+    if (!same_bits(a.truth_pos[i].x, b.truth_pos[i].x) ||
+        !same_bits(a.truth_pos[i].y, b.truth_pos[i].y) ||
+        !same_bits(a.truth_pos[i].z, b.truth_pos[i].z))
       return false;
   if (a.truth_xy.size() != b.truth_xy.size()) return false;
   for (std::size_t i = 0; i < a.truth_xy.size(); ++i)
-    if (dbits(a.truth_xy[i].x) != dbits(b.truth_xy[i].x) ||
-        dbits(a.truth_xy[i].y) != dbits(b.truth_xy[i].y))
+    if (!same_bits(a.truth_xy[i].x, b.truth_xy[i].x) ||
+        !same_bits(a.truth_xy[i].y, b.truth_xy[i].y))
       return false;
   return bit_equal(a.truth_depths, b.truth_depths);
 }
 
 bool bit_equal(const RoundRecord& a, const RoundRecord& b) {
   return a.round == b.round && a.localized == b.localized &&
-         dbits(a.normalized_stress) == dbits(b.normalized_stress) &&
+         same_bits(a.normalized_stress, b.normalized_stress) &&
          bit_equal(a.error_2d, b.error_2d) &&
          bit_equal(a.tracked_error_2d, b.tracked_error_2d);
 }

@@ -57,18 +57,8 @@ void RoundPipeline::set_search_threads(std::size_t n) {
   localizer_ = core::Localizer(opts_.localizer);
 }
 
-bool RoundPipeline::tracing() const {
-  return trace_id_ != 0 && telemetry_ != nullptr &&
-         telemetry_->trace_enabled();
-}
-
-double RoundPipeline::trace_begin() const {
-  return tracing() ? telemetry_->trace_now() : 0.0;
-}
-
-void RoundPipeline::trace_emit(telemetry::TraceOp op, double ts0_s) {
-  if (tracing())
-    telemetry_->trace_span(trace_id_, op, telemetry::TraceOp::kRound, ts0_s);
+void RoundPipeline::end_stage(telemetry::TraceOp op) {
+  if (telemetry_ != nullptr) stage_ts0_ = telemetry_->span_end(op, stage_ts0_, trace_id_);
 }
 
 void RoundPipeline::coast(double dt_s) {
@@ -89,32 +79,25 @@ const RoundOutput& RoundPipeline::run_round(RoundMeasurement& m, uwp::Rng& rng,
 }
 
 void RoundPipeline::begin_round(double dt_s) {
-  round_elapsed_ = 0.0;
-  trace_ts0_ = trace_begin();
+  if (telemetry_ != nullptr) round_ts0_ = stage_ts0_ = telemetry_->span_begin();
   // Tracker prediction runs first (it used to sit with the update after
   // localization — same predict/update sequence either way) so the predicted
   // geometry can warm-start the localize stage.
   if (opts_.track) {
-    telemetry::SpanTimer span(telemetry_, telemetry::Stage::kTrack);
     tracker_.predict(dt_s);
-    round_elapsed_ += span.stop();
+    end_stage(telemetry::TraceOp::kPredict);
   }
 }
 
 void RoundPipeline::stage_quantize(RoundMeasurement& m) {
   // Payload quantization (§2.4): timestamps ride to the leader as 10-bit
   // slot-relative deltas at 2-sample resolution.
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kQuantize);
   if (opts_.quantize_payload) proto::quantize_run_payload(m.protocol, codec_);
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kQuantize, tts);
+  end_stage(telemetry::TraceOp::kQuantize);
 }
 
 void RoundPipeline::stage_ranging(RoundMeasurement& m) {
   const std::size_t n = opts_.protocol.num_devices;
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kRanging);
   // Pairwise distances from the timestamp table.
   solver_.solve_into(out_.ranging, m.protocol);
 
@@ -126,8 +109,7 @@ void RoundPipeline::stage_ranging(RoundMeasurement& m) {
         const double true_d = distance(m.truth_pos[i], m.truth_pos[j]);
         out_.ranging_errors.push_back(std::abs(out_.ranging.distances(i, j) - true_d));
       }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kRanging, tts);
+  end_stage(telemetry::TraceOp::kRanging);
 }
 
 void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
@@ -167,8 +149,6 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
     }
   }
 
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kLocalize);
   try {
     localizer_.localize_into(out_.localization, out_.localizer_input, rng, loc_ws_,
                              warm ? &warm_init_ : nullptr);
@@ -182,8 +162,6 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
   } catch (const std::exception&) {
     out_.localized = false;
   }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kLocalize, tts);
   if (telemetry_ != nullptr)
     telemetry_->count(warm ? telemetry::Counter::kWarmStartHits
                            : telemetry::Counter::kWarmStartMisses);
@@ -192,6 +170,7 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
     for (std::size_t i = 1; i < n; ++i)
       out_.error_2d[i] = distance(out_.localization.positions[i].xy(), m.truth_xy[i]);
   }
+  end_stage(telemetry::TraceOp::kLocalize);
 }
 
 void RoundPipeline::stage_track(RoundMeasurement& m) {
@@ -199,8 +178,6 @@ void RoundPipeline::stage_track(RoundMeasurement& m) {
   const std::size_t n = opts_.protocol.num_devices;
   // Tracking: coast through failed rounds, fuse successful ones (the predict
   // half already ran in begin_round).
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kTrack);
   if (out_.localized) {
     tracker_update_.assign(n, std::nullopt);
     for (std::size_t i = 1; i < n; ++i)
@@ -216,15 +193,13 @@ void RoundPipeline::stage_track(RoundMeasurement& m) {
     if (track.initialized())
       out_.tracked_error_2d[i] = distance(track.position(), m.truth_xy[i]);
   }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kTrack, tts);
   warm_valid_ = out_.localized;
+  end_stage(telemetry::TraceOp::kTrack);
 }
 
 const RoundOutput& RoundPipeline::finish_round() {
   telemetry::ShardStream* const tel = telemetry_;
   if (tel != nullptr) {
-    if (tel->timing_enabled()) tel->span(telemetry::Stage::kRound, round_elapsed_);
     tel->count(telemetry::Counter::kRounds);
     if (out_.localized) {
       tel->count(telemetry::Counter::kLocalized);
@@ -235,11 +210,7 @@ const RoundOutput& RoundPipeline::finish_round() {
     } else {
       tel->count(telemetry::Counter::kLocalizeFailures);
     }
-  }
-  if (tracing()) {
-    // Root span: wall time from begin_round to here.
-    telemetry_->trace_span(trace_id_, telemetry::TraceOp::kRound,
-                           telemetry::TraceOp::kNone, trace_ts0_);
+    tel->span_end(telemetry::TraceOp::kRound, round_ts0_, trace_id_);
   }
   trace_id_ = 0;
   return out_;

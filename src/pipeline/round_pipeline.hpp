@@ -92,17 +92,18 @@ class RoundPipeline {
   const proto::PayloadCodecConfig& codec_config() const { return codec_; }
 
   // Attach the owning shard's/worker's telemetry stream (nullptr = off;
-  // the default). run_round then emits per-stage span timers plus the
+  // the default). run_round then records one span per stage (predict,
+  // quantize, ranging, localize, track) plus the round span, and the
   // round/localized/solver-iteration counters. The binding survives
   // rebind() on purpose: an arena-reused pipeline keeps reporting into the
   // shard that owns it.
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
 
-  // Arm the causal trace for the next round: every stage of that round
-  // emits a trace span tagged `trace_id` (children of the round-root span)
-  // onto the attached stream. finish_round() disarms, so coasts and
-  // untraced rounds between explicit arms emit nothing. No-op when the
-  // stream is null or its trace plane is off.
+  // Arm the causal trace for the next round: that round's spans are also
+  // recorded as trace spans tagged `trace_id` (the stages as children of
+  // the round-root span) on the attached stream. finish_round() disarms,
+  // so coasts and untraced rounds between explicit arms trace nothing.
+  // No-op when the stream is null or its trace plane is off.
   void set_trace(std::uint64_t trace_id) { trace_id_ = trace_id; }
 
   // Process one measurement. `dt_s` is the time since the previous round
@@ -123,9 +124,13 @@ class RoundPipeline {
   //                                     distance/weight matrices (usually
   //                                     output().ranging's)
   //   stage_track(m)                    Kalman update + tracked errors
-  //   finish_round()                    round counters + aggregate span
+  //   finish_round()                    round counters + round span
   // The results are bit-identical to run_round: stages only communicate
-  // through this pipeline's own state.
+  // through this pipeline's own state. With telemetry attached, each
+  // stage's span runs from where the previous one ended (begin_round for
+  // predict) to the end of its own call, so the stage spans partition
+  // begin_round -> last stage, and the round span runs begin_round ->
+  // finish_round.
   void begin_round(double dt_s);
   void stage_quantize(RoundMeasurement& m);
   void stage_ranging(RoundMeasurement& m);
@@ -150,9 +155,8 @@ class RoundPipeline {
                  std::vector<double>& samples, double round_dt_s = 0.0);
 
  private:
-  bool tracing() const;
-  double trace_begin() const;  // span-start ts, 0.0 when not tracing
-  void trace_emit(telemetry::TraceOp op, double ts0_s);
+  // Closes `op`'s span at the current stage edge and moves the edge.
+  void end_stage(telemetry::TraceOp op);
 
   PipelineOptions opts_;
   proto::RangingSolver solver_;
@@ -169,9 +173,9 @@ class RoundPipeline {
   // tracker's predicted geometry is a trustworthy SMACOF seed.
   bool warm_valid_ = false;
   std::vector<Vec2> warm_init_;
-  double round_elapsed_ = 0.0;  // summed stage spans for the kRound span
   std::uint64_t trace_id_ = 0;  // armed trace id; 0 = not tracing
-  double trace_ts0_ = 0.0;      // round-root span start (collector epoch)
+  double round_ts0_ = 0.0;      // round span start (collector epoch)
+  double stage_ts0_ = 0.0;      // current stage span start
 };
 
 }  // namespace uwp::pipeline

@@ -78,9 +78,29 @@ void ShardStream::sample(Sample s, double value) {
   flight_record(Event{EventKind::kSample, static_cast<std::uint8_t>(s), time_, value});
 }
 
-void ShardStream::span(Stage s, double seconds) {
-  spans_[static_cast<std::size_t>(s)].record(seconds);
-  flight_record(Event{EventKind::kSpan, static_cast<std::uint8_t>(s), time_, seconds});
+double ShardStream::clock_s() const {
+  return std::chrono::duration<double>(Clock::now() - epoch_).count();
+}
+
+double ShardStream::span_begin() const { return timing_ || trace_ ? clock_s() : 0.0; }
+
+double ShardStream::span_end(TraceOp op, double ts0_s, std::uint64_t trace_id) {
+  const bool traced = trace_ && trace_id != 0;
+  if (!timing_ && !traced) return 0.0;
+  const double now = clock_s();
+  const double dur = now - ts0_s;
+  if (timing_) spans_[static_cast<std::size_t>(op)].record(dur);
+  if (traced) {
+    if (trace_spans_.size() < trace_max_) {
+      trace_spans_.push_back(
+          TraceSpan{trace_id, op, static_cast<std::uint16_t>(index_), time_, ts0_s, dur});
+    } else {
+      ++trace_dropped_;
+    }
+  }
+  flight_record(Event{EventKind::kSpan, static_cast<std::uint8_t>(op), time_, dur,
+                      traced ? trace_id : 0});
+  return now;
 }
 
 void ShardStream::flight_record(const Event& e) {
@@ -104,27 +124,6 @@ void ShardStream::flight_dump(FlightTrigger trigger) {
   d.events.assign(oldest, flight_ring_.end());
   d.events.insert(d.events.end(), flight_ring_.begin(), oldest);
   dumps_.push_back(std::move(d));
-}
-
-double ShardStream::trace_now() const {
-  if (!trace_) return 0.0;
-  const std::chrono::duration<double> dt = Clock::now() - epoch_;
-  return dt.count();
-}
-
-void ShardStream::trace_span(std::uint64_t trace_id, TraceOp op,
-                             TraceOp parent, double ts0_s) {
-  if (!trace_ || trace_id == 0) return;
-  if (trace_spans_.size() >= trace_max_) {
-    ++trace_dropped_;
-    return;
-  }
-  const double dur = trace_now() - ts0_s;
-  trace_spans_.push_back(TraceSpan{trace_id, op, parent,
-                                   static_cast<std::uint16_t>(index_), time_,
-                                   ts0_s, dur});
-  flight_record(Event{EventKind::kTraceSpan, static_cast<std::uint8_t>(op), time_, dur,
-                      trace_id});
 }
 
 Collector::Collector(const TelemetryOptions& opts)

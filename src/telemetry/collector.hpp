@@ -11,9 +11,11 @@
 //     sums are invariant to how sessions are partitioned across shards,
 //     workers, or threads. This is the section uwp_run emits as "counters"
 //     and CI diffs bit-for-bit.
-//   * Span and sample histograms — run-varying. span() and sample() record
-//     straight into the stream's own log-bucket histograms; nothing is
-//     queued and nothing is dropped, so the histograms cover every round.
+//   * Stage spans and samples — run-varying. span_end() is the one record
+//     of a stage: it feeds the stage's log-bucket histogram and, for a
+//     traced round, the stream's trace spans. sample() records scalars the
+//     same way. Nothing is queued and nothing is dropped, so the
+//     histograms cover every round.
 //
 // Each stream also keeps its flight recorder: a bounded circular buffer
 // of its most recent events, dumped when count() crosses an anomaly
@@ -57,15 +59,15 @@ struct FlightOptions {
 
 struct TelemetryOptions {
   bool enabled = false;
-  // Span timers read steady_clock twice per stage; disabling `timing` keeps
-  // the deterministic counter plane while skipping every clock read and
-  // every sample.
+  // Stage span histograms read steady_clock at each span edge; disabling
+  // `timing` keeps the deterministic counter plane while skipping every
+  // sample, and every clock read unless `trace` is on.
   bool timing = true;
   // Snapshot window in virtual-time units (ticks for the fleet driver,
   // seconds for the ingest server — the factory scales by tick_period_s).
   double window = 16.0;
-  // Causal round traces: producer-local span records (also kept by the
-  // flight recorder). Off by default — tracing reads the clock per span.
+  // Causal round traces: the same span records, also kept per traced round
+  // with its trace id. Off by default.
   bool trace = false;
   // Per-stream span cap (safety valve; overflow counts as trace_dropped).
   std::size_t trace_max_spans = 1 << 20;
@@ -101,7 +103,8 @@ struct TelemetryReport {
   // Deterministic plane: one Snapshot per window, dense from window 0.
   std::vector<Snapshot> snapshots;
   std::array<std::uint64_t, kCounterCount> totals{};
-  // Run-varying plane: every stream's histograms, merged in stream order.
+  // Run-varying plane: every stream's histograms, merged in stream order;
+  // `spans` is indexed by TraceOp.
   std::array<Histogram, kStageCount> spans;
   std::array<Histogram, kSampleCount> samples;
   // Trace plane: producer-local spans concatenated in stream order. The
@@ -130,18 +133,24 @@ class ShardStream {
   void count(Counter c, std::uint64_t delta = 1);
   // A no-op when timing is off: samples belong to the run-varying plane.
   void sample(Sample s, double value);
-  void span(Stage s, double seconds);
 
   bool timing_enabled() const { return timing_; }
-
-  // Trace plane. trace_now() is the span-start timestamp (seconds since
-  // the collector epoch, shared by every stream so cross-stream spans
-  // align); it reads the clock only when tracing is on. trace_span()
-  // records {id, op, parent, virtual time, ts0 .. now} producer-locally.
   bool trace_enabled() const { return trace_; }
-  double trace_now() const;
-  void trace_span(std::uint64_t trace_id, TraceOp op, TraceOp parent,
-                  double ts0_s);
+
+  // The span record. Stamps are seconds since the collector epoch, shared
+  // by every stream so cross-stream spans (ingest -> queue) align.
+  // span_begin() returns a span's start stamp. span_end() closes `op`'s
+  // span begun at `ts0_s`: it records the duration in the op's histogram
+  // when timing is on, appends a TraceSpan {trace_id, op, virtual time,
+  // ts0, duration} when the trace plane is on and `trace_id` is nonzero,
+  // and keeps one flight-recorder event. It returns the end stamp, so the
+  // next stage of a chain can start there without a read of its own. Each
+  // call reads the clock once, and not at all (returning 0.0) when it has
+  // nothing to record: timing and trace off, or, for span_end, timing off
+  // and no trace id.
+  double span_begin() const;
+  double span_end(TraceOp op, double ts0_s, std::uint64_t trace_id);
+
   const std::vector<TraceSpan>& trace_spans() const { return trace_spans_; }
   std::uint64_t trace_dropped() const { return trace_dropped_; }
 
@@ -154,6 +163,7 @@ class ShardStream {
   const std::vector<FlightDump>& flight_dumps() const { return dumps_; }
 
  private:
+  double clock_s() const;  // seconds since the collector epoch
   void flight_record(const Event& e);
   void flight_dump(FlightTrigger trigger);
 
@@ -176,35 +186,6 @@ class ShardStream {
   std::vector<Event> flight_ring_;
   std::size_t flight_next_ = 0;
   std::vector<FlightDump> dumps_;
-};
-
-// Scoped wall-clock span timer. Cost when the stream is null or timing is
-// disabled: one branch, no clock read.
-class SpanTimer {
- public:
-  SpanTimer(ShardStream* s, Stage stage)
-      : s_(s != nullptr && s->timing_enabled() ? s : nullptr), stage_(stage) {
-    if (s_ != nullptr) t0_ = std::chrono::steady_clock::now();
-  }
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-  ~SpanTimer() { stop(); }
-
-  // Emits the span and returns its duration in seconds (0.0 when timing is
-  // off), so callers can accumulate stage times into an aggregate span.
-  double stop() {
-    if (s_ == nullptr) return 0.0;
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0_;
-    s_->span(stage_, dt.count());
-    s_ = nullptr;
-    return dt.count();
-  }
-
- private:
-  ShardStream* s_;
-  Stage stage_;
-  std::chrono::steady_clock::time_point t0_;
 };
 
 class Collector {

@@ -46,26 +46,6 @@ const char* to_string(Counter c) {
   return "unknown";
 }
 
-const char* to_string(Stage s) {
-  switch (s) {
-    case Stage::kQuantize:
-      return "quantize";
-    case Stage::kRanging:
-      return "ranging";
-    case Stage::kLocalize:
-      return "localize";
-    case Stage::kTrack:
-      return "track";
-    case Stage::kRound:
-      return "round";
-    case Stage::kIngest:
-      return "ingest";
-    case Stage::kCount_:
-      break;
-  }
-  return "unknown";
-}
-
 const char* to_string(TraceOp op) {
   switch (op) {
     case TraceOp::kRound:
@@ -74,6 +54,8 @@ const char* to_string(TraceOp op) {
       return "ingest";
     case TraceOp::kQueue:
       return "queue";
+    case TraceOp::kPredict:
+      return "predict";
     case TraceOp::kQuantize:
       return "quantize";
     case TraceOp::kRanging:
@@ -94,8 +76,6 @@ const char* to_string(Sample s) {
   switch (s) {
     case Sample::kQueueDepth:
       return "queue_depth";
-    case Sample::kArenaReuse:
-      return "arena_reuse";
     case Sample::kArenaFreeHit:
       return "arena_free_hit";
     case Sample::kArenaFreeMiss:

@@ -9,18 +9,17 @@
 //     producer-locally and merged per virtual-time window, so their sums
 //     are bit-identical at any shard/worker/thread count. They are never
 //     dropped.
-//   * Stage — wall-clock span durations from scoped timers around pipeline
-//     and ingest stages. Wall time is inherently run-varying; spans feed
-//     the producer's log-bucket histograms (p50/p99/p999).
+//   * TraceOp — the stages of a round's causal chain, from ingest through
+//     the queue and every pipeline stage. One span record per stage feeds
+//     both the producer's log-bucket histograms (wall-clock durations,
+//     p50/p99/p999) and, for a traced round, the causal trace, whose
+//     *structure* (which ops fired, virtual time) is deterministic while
+//     wall-clock start/duration is not.
 //   * Sample — run-varying scalar observations (live queue depth, arena
-//     free-list reuse) whose values depend on scheduling, not the spec.
-//   * TraceOp — causal round-trace spans. Each traced round carries one
-//     trace id from ingest through the queue, batch staging, and every
-//     pipeline stage; span *structure* (which ops fired, parent links,
-//     virtual time) is deterministic, wall-clock start/duration is not.
+//     free-list hits) whose values depend on scheduling, not the spec.
 //
 // The Event struct is the flight recorder's 32-byte POD record; `ref`
-// carries the trace id for kTraceSpan events.
+// carries the trace id of a traced span.
 #pragma once
 
 #include <cstdint>
@@ -53,24 +52,9 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount_);
 const char* to_string(Counter c);
 
-// Wall-clock span timers (the "timing" JSON section).
-enum class Stage : std::uint8_t {
-  kQuantize = 0,  // payload quantization round trip
-  kRanging,       // arrival solve + ranging diagnostics
-  kLocalize,      // outlier search + localization
-  kTrack,         // tracker predict/update
-  kRound,         // whole run_round as seen by the session/worker
-  kIngest,        // ingest-loop handling of one frame (scheduler included)
-  kCount_,
-};
-inline constexpr std::size_t kStageCount =
-    static_cast<std::size_t>(Stage::kCount_);
-const char* to_string(Stage s);
-
 // Run-varying scalar samples (the "timing" JSON section).
 enum class Sample : std::uint8_t {
   kQueueDepth = 0,   // dispatch-queue occupancy at enqueue time
-  kArenaReuse,       // arena lease satisfied from the free list (1 per hit)
   kArenaFreeHit,     // free-list hit; value = group size served
   kArenaFreeMiss,    // free-list miss (cold construction); value = group size
   kArenaRebindCost,  // |leased size - requested size| on a free-list hit
@@ -80,35 +64,48 @@ inline constexpr std::size_t kSampleCount =
     static_cast<std::size_t>(Sample::kCount_);
 const char* to_string(Sample s);
 
-// Causal trace ops. Each op occurs at most once per trace id, so a span is
-// identified by (trace_id, op) and its parent by the parent op alone.
-// kNone marks the root (the round span has no parent).
+// The stages of a round, one enum for the timing histograms and the causal
+// trace alike. Each op occurs at most once per trace id, so a span is
+// identified by (trace_id, op), and its parent is fixed by the op alone
+// (parent_of). kNone marks a root.
 enum class TraceOp : std::uint8_t {
-  kRound = 0,  // whole round, root span
-  kIngest,     // serve mode: frame decode + shaper verdict (ingest stream)
-  kQueue,      // serve mode: dispatch-queue residency (enqueue -> worker pop)
-  kQuantize,   // pipeline stage slices, children of kRound
-  kRanging,
-  kLocalize,
-  kTrack,
+  kRound = 0,  // begin_round -> finish_round wall time, root span
+  kIngest,     // serve mode: frame decode + shaper verdict (ingest stream), root span
+  kQueue,      // serve mode: dispatch-queue residency (dispatch -> round start)
+  kPredict,    // pipeline stage slices, children of kRound: tracker predict
+  kQuantize,   //   §2.4 payload quantization round trip
+  kRanging,    //   arrival solve + ranging diagnostics
+  kLocalize,   //   outlier search + localization
+  kTrack,      //   tracker update + tracked errors
   kCount_,
   kNone = 255,
 };
-inline constexpr std::size_t kTraceOpCount =
+inline constexpr std::size_t kStageCount =
     static_cast<std::size_t>(TraceOp::kCount_);
 const char* to_string(TraceOp op);
+
+inline constexpr TraceOp parent_of(TraceOp op) {
+  switch (op) {
+    case TraceOp::kRound:
+    case TraceOp::kIngest:
+      return TraceOp::kNone;
+    case TraceOp::kQueue:
+      return TraceOp::kIngest;
+    default:
+      return TraceOp::kRound;
+  }
+}
 
 enum class EventKind : std::uint8_t {
   kCounter = 0,
   kSpan = 1,
   kSample = 2,
-  kTraceSpan = 3,
 };
 
-// One flight-recorder slot. `id` is the Counter/Stage/Sample/TraceOp enum value for
-// `kind`; `t` is virtual time for counters/trace spans and don't-care for
-// stage spans/samples; `value` is the counter delta, span seconds, or
-// sample value; `ref` is the trace id for kTraceSpan and 0 otherwise.
+// One flight-recorder slot. `id` is the Counter/TraceOp/Sample enum value
+// for `kind`; `t` is the producer's virtual time at emission; `value` is
+// the counter delta, span seconds, or sample value; `ref` is a traced
+// span's trace id and 0 otherwise.
 struct Event {
   EventKind kind = EventKind::kCounter;
   std::uint8_t id = 0;

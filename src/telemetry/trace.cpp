@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+
+#include "util/hash.hpp"
 
 namespace uwp::telemetry {
 
 namespace {
-
-inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-inline std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 struct StructureOrder {
   bool operator()(const TraceSpan& a, const TraceSpan& b) const {
@@ -35,12 +22,11 @@ struct StructureOrder {
 std::uint64_t trace_structure_digest(std::span<const TraceSpan> spans) {
   std::vector<TraceSpan> sorted(spans.begin(), spans.end());
   std::sort(sorted.begin(), sorted.end(), StructureOrder{});
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffsetBasis;
   for (const TraceSpan& s : sorted) {
-    h = fnv1a(h, s.trace_id);
-    h = fnv1a(h, static_cast<std::uint64_t>(s.op));
-    h = fnv1a(h, static_cast<std::uint64_t>(s.parent));
-    h = fnv1a(h, bits(s.t));
+    fnv_mix(h, s.trace_id);
+    fnv_mix(h, static_cast<std::uint64_t>(s.op));
+    fnv_mix(h, s.t);
   }
   return h;
 }
@@ -75,7 +61,7 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceSpan> spans) {
           ",\"t\":%.6g,\"parent\":\"%s\"}}",
           first ? "" : ",", to_string(s.op), unsigned(s.stream), s.ts_s * 1e6,
           s.dur_s * 1e6, s.trace_id, trace_session(s.trace_id),
-          trace_round(s.trace_id), s.t, to_string(s.parent));
+          trace_round(s.trace_id), s.t, to_string(parent_of(s.op)));
       out << buf;
       first = false;
     }

@@ -3,20 +3,19 @@
 // queue and each stage of the RoundPipeline call. Spans live on two planes,
 // mirroring the counter/timing split:
 //
-//   * Structure — deterministic. Which spans fired, their trace ids,
-//     parent links, and virtual times are a pure function of the spec and
-//     workload: each op occurs at most once per trace, so span identity is
-//     (trace_id, op) and the parent link is the parent op alone.
-//     trace_structure_digest() folds exactly those fields (sorted, stream
-//     index excluded) into one FNV hash that is bit-identical at any
-//     shard/worker/thread count.
+//   * Structure — deterministic. Which spans fired, their trace ids, and
+//     virtual times are a pure function of the spec and workload: each op
+//     occurs at most once per trace, so span identity is (trace_id, op),
+//     and the parent link is parent_of(op). trace_structure_digest() folds
+//     exactly those fields (sorted, stream index excluded) into one FNV
+//     hash that is bit-identical at any shard/worker/thread count.
 //   * Timing — run-varying. Wall-clock start/duration (seconds since the
 //     collector epoch) and the stream a span landed on depend on
 //     scheduling and are excluded from the digest.
 //
-// Spans are recorded producer-locally (never dropped below the per-stream
-// cap, like counter pages), and the stream's flight recorder keeps the
-// latest as kTraceSpan events. write_chrome_trace()
+// Spans are recorded producer-locally by ShardStream::span_end (never
+// dropped below the per-stream cap, like counter pages), the same record
+// that feeds the stage histograms. write_chrome_trace()
 // renders the Chrome trace-event JSON that Perfetto / chrome://tracing
 // load directly, including flow arrows chaining cross-thread spans of one
 // trace (ingest -> queue -> round).
@@ -36,7 +35,6 @@ namespace uwp::telemetry {
 struct TraceSpan {
   std::uint64_t trace_id = 0;
   TraceOp op = TraceOp::kRound;
-  TraceOp parent = TraceOp::kNone;
   std::uint16_t stream = 0;
   double t = 0.0;
   double ts_s = 0.0;
@@ -57,9 +55,9 @@ inline constexpr std::uint64_t trace_round(std::uint64_t id) {
   return (id & 0xFFFFFF) - 1;
 }
 
-// FNV-1a over the deterministic span fields (trace_id, op, parent, virtual
-// time), folded in (trace_id, op) order so the digest is invariant to how
-// spans were partitioned across streams or interleaved in wall time.
+// FNV-1a over the deterministic span fields (trace_id, op, virtual time),
+// folded in (trace_id, op) order so the digest is invariant to how spans
+// were partitioned across streams or interleaved in wall time.
 std::uint64_t trace_structure_digest(std::span<const TraceSpan> spans);
 
 // Chrome trace-event JSON ("X" complete events, ts/dur in microseconds,

@@ -159,33 +159,143 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
 }
 
 // bit_equal compares writer outputs, so a member missing from its section's
-// field list would drop out of both sides unseen. The sections backed by
-// driver structs (control, telemetry.flight) are compared member by member,
-// doubles bitwise.
-void expect_backing_members_equal(const ScenarioSpec& a, const ScenarioSpec& b) {
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const control::ControlConfig& ca = a.control;
-  const control::ControlConfig& cb = b.control;
-  EXPECT_EQ(ca.enabled, cb.enabled);
-  EXPECT_EQ(ca.arena, cb.arena);
-  EXPECT_EQ(ca.shaper, cb.shaper);
-  EXPECT_EQ(ca.solver, cb.solver);
-  EXPECT_EQ(ca.evict_storm, cb.evict_storm);
-  EXPECT_EQ(ca.retain_base, cb.retain_base);
-  EXPECT_EQ(ca.retain_max, cb.retain_max);
-  EXPECT_EQ(bits(ca.rate_step), bits(cb.rate_step));
-  EXPECT_EQ(bits(ca.rate_max_multiplier), bits(cb.rate_max_multiplier));
-  EXPECT_EQ(ca.solver_iters_high, cb.solver_iters_high);
-  EXPECT_EQ(ca.solver_iters_low, cb.solver_iters_low);
-  EXPECT_EQ(ca.max_search_threads, cb.max_search_threads);
-  const telemetry::FlightOptions& fa = a.telemetry.flight;
-  const telemetry::FlightOptions& fb = b.telemetry.flight;
-  EXPECT_EQ(fa.capacity, fb.capacity);
-  EXPECT_EQ(fa.max_dumps, fb.max_dumps);
-  EXPECT_EQ(fa.evict_storm, fb.evict_storm);
-  EXPECT_EQ(fa.shed_burst, fb.shed_burst);
-  EXPECT_EQ(fa.localize_failures, fb.localize_failures);
+// field list would drop out of both sides unseen. Every section's backing
+// struct is therefore also compared member by member, doubles bitwise;
+// random_spec sets each listed member away from its default, so a member
+// dropped from a field list comes back as the default and fails here.
+#define EXPECT_MEMBER_EQ(m) EXPECT_EQ(a.m, b.m) << #m
+#define EXPECT_MEMBER_BITS(m) EXPECT_EQ(bits(a.m), bits(b.m)) << #m
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_vec3s_equal(const std::vector<Vec3>& a, const std::vector<Vec3>& b,
+                        const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(bits(a[i].x), bits(b[i].x)) << what << "[" << i << "].x";
+    EXPECT_EQ(bits(a[i].y), bits(b[i].y)) << what << "[" << i << "].y";
+    EXPECT_EQ(bits(a[i].z), bits(b[i].z)) << what << "[" << i << "].z";
+  }
 }
+
+void expect_backing_members_equal(const ScenarioSpec& a, const ScenarioSpec& b) {
+  EXPECT_MEMBER_EQ(name);
+  EXPECT_MEMBER_EQ(mode);
+
+  EXPECT_MEMBER_EQ(deployment.preset);
+  EXPECT_MEMBER_EQ(deployment.environment);
+  EXPECT_MEMBER_EQ(deployment.seed);
+  EXPECT_MEMBER_EQ(deployment.devices);
+  expect_vec3s_equal(a.deployment.positions, b.deployment.positions,
+                     "deployment.positions");
+  EXPECT_MEMBER_EQ(deployment.random_audio);
+
+  EXPECT_MEMBER_EQ(round.waveform_phy);
+  EXPECT_MEMBER_BITS(round.fast_arrival.sigma_m);
+  EXPECT_MEMBER_BITS(round.fast_arrival.sigma_per_m);
+  EXPECT_MEMBER_BITS(round.fast_arrival.detection_failure_prob);
+  EXPECT_MEMBER_EQ(round.quantize_payload);
+  EXPECT_MEMBER_BITS(round.sound_speed_error_mps);
+  EXPECT_MEMBER_EQ(round.mic_mode);
+  EXPECT_MEMBER_BITS(round.depth_sensor.bias_m);
+  EXPECT_MEMBER_BITS(round.depth_sensor.noise_sigma_m);
+  EXPECT_MEMBER_BITS(round.depth_sensor.quantization_m);
+  EXPECT_MEMBER_BITS(round.pointing.sigma_deg);
+  EXPECT_MEMBER_BITS(round.pointing.sigma_per_meter_deg);
+  EXPECT_MEMBER_BITS(round.localizer.outlier.stress_threshold);
+  EXPECT_MEMBER_BITS(round.localizer.outlier.drop_ratio);
+  EXPECT_MEMBER_EQ(round.localizer.outlier.max_outliers);
+  EXPECT_MEMBER_EQ(round.localizer.outlier.max_suspect_links);
+  EXPECT_MEMBER_EQ(round.localizer.outlier.search_threads);
+  EXPECT_MEMBER_EQ(round.localizer.outlier.smacof.max_iterations);
+  EXPECT_MEMBER_BITS(round.localizer.outlier.smacof.rel_tolerance);
+  EXPECT_MEMBER_EQ(round.localizer.outlier.smacof.random_restarts);
+  EXPECT_MEMBER_BITS(round.localizer.outlier.smacof.init_spread);
+
+  EXPECT_MEMBER_EQ(protocol.num_devices);
+  EXPECT_MEMBER_BITS(protocol.delta0_s);
+  EXPECT_MEMBER_BITS(protocol.t_packet_s);
+  EXPECT_MEMBER_BITS(protocol.t_guard_s);
+  EXPECT_MEMBER_BITS(protocol.sound_speed_mps);
+  EXPECT_MEMBER_BITS(protocol.fs_hz);
+
+  EXPECT_MEMBER_EQ(des.rounds);
+  EXPECT_MEMBER_BITS(des.round_period_s);
+  EXPECT_MEMBER_BITS(des.max_range_m);
+  EXPECT_MEMBER_EQ(des.ideal_arrivals);
+  EXPECT_MEMBER_BITS(des.tracker.accel_noise);
+  EXPECT_MEMBER_BITS(des.tracker.measurement_sigma_m);
+  EXPECT_MEMBER_BITS(des.tracker.velocity_decay_tau_s);
+  EXPECT_MEMBER_BITS(des.tracker.gate_sigmas);
+  ASSERT_EQ(a.des.motion.size(), b.des.motion.size());
+  for (std::size_t i = 0; i < a.des.motion.size(); ++i) {
+    EXPECT_MEMBER_EQ(des.motion[i].node);
+    expect_vec3s_equal({a.des.motion[i].motion.axis}, {b.des.motion[i].motion.axis},
+                       "des.motion.axis");
+    EXPECT_MEMBER_BITS(des.motion[i].motion.span_m);
+    EXPECT_MEMBER_BITS(des.motion[i].motion.speed_mps);
+    EXPECT_MEMBER_BITS(des.motion[i].motion.phase_s);
+    expect_vec3s_equal(a.des.motion[i].motion.waypoints, b.des.motion[i].motion.waypoints,
+                       "des.motion.waypoints");
+  }
+
+  EXPECT_MEMBER_EQ(sweep.trials);
+  EXPECT_MEMBER_EQ(sweep.master_seed);
+  EXPECT_MEMBER_EQ(sweep.threads);
+
+  EXPECT_MEMBER_EQ(fleet.options.master_seed);
+  EXPECT_MEMBER_EQ(fleet.options.shards);
+  EXPECT_MEMBER_EQ(fleet.options.measure_latency);
+  EXPECT_MEMBER_EQ(fleet.workload.sessions);
+  EXPECT_MEMBER_EQ(fleet.workload.seed);
+  EXPECT_MEMBER_EQ(fleet.workload.min_group_size);
+  EXPECT_MEMBER_EQ(fleet.workload.max_group_size);
+  EXPECT_MEMBER_EQ(fleet.workload.min_rounds);
+  EXPECT_MEMBER_EQ(fleet.workload.max_rounds);
+  EXPECT_MEMBER_EQ(fleet.workload.admit_spread_ticks);
+  EXPECT_MEMBER_EQ(fleet.workload.include_des);
+  EXPECT_MEMBER_EQ(fleet.workload.force_kind);
+  EXPECT_MEMBER_EQ(fleet.server.options.workers);
+  EXPECT_MEMBER_EQ(fleet.server.options.queue_depth);
+  EXPECT_MEMBER_BITS(fleet.server.tick_period_s);
+  EXPECT_MEMBER_EQ(fleet.server.transport_capacity);
+  EXPECT_MEMBER_EQ(fleet.server.options.shaping.policy);
+  EXPECT_MEMBER_EQ(fleet.server.options.shaping.ingest_shards);
+  EXPECT_MEMBER_EQ(fleet.server.options.shaping.queue_depth);
+  EXPECT_MEMBER_BITS(fleet.server.options.shaping.drain_rounds_per_s);
+  EXPECT_MEMBER_BITS(fleet.server.options.shaping.rate_rounds_per_s);
+  EXPECT_MEMBER_BITS(fleet.server.options.shaping.burst_rounds);
+  EXPECT_MEMBER_BITS(fleet.server.options.shaping.feedback_threshold);
+  EXPECT_MEMBER_BITS(fleet.server.options.shaping.defer_delay_s);
+  EXPECT_MEMBER_EQ(fleet.server.options.shaping.max_defers);
+
+  EXPECT_MEMBER_EQ(telemetry.enabled);
+  EXPECT_MEMBER_EQ(telemetry.timing);
+  EXPECT_MEMBER_EQ(telemetry.window_ticks);
+  EXPECT_MEMBER_EQ(telemetry.trace.enabled);
+  EXPECT_MEMBER_EQ(telemetry.trace.max_spans);
+  EXPECT_MEMBER_EQ(telemetry.flight.capacity);
+  EXPECT_MEMBER_EQ(telemetry.flight.max_dumps);
+  EXPECT_MEMBER_EQ(telemetry.flight.evict_storm);
+  EXPECT_MEMBER_EQ(telemetry.flight.shed_burst);
+  EXPECT_MEMBER_EQ(telemetry.flight.localize_failures);
+
+  EXPECT_MEMBER_EQ(control.enabled);
+  EXPECT_MEMBER_EQ(control.arena);
+  EXPECT_MEMBER_EQ(control.shaper);
+  EXPECT_MEMBER_EQ(control.solver);
+  EXPECT_MEMBER_EQ(control.evict_storm);
+  EXPECT_MEMBER_EQ(control.retain_base);
+  EXPECT_MEMBER_EQ(control.retain_max);
+  EXPECT_MEMBER_BITS(control.rate_step);
+  EXPECT_MEMBER_BITS(control.rate_max_multiplier);
+  EXPECT_MEMBER_EQ(control.solver_iters_high);
+  EXPECT_MEMBER_EQ(control.solver_iters_low);
+  EXPECT_MEMBER_EQ(control.max_search_threads);
+}
+
+#undef EXPECT_MEMBER_EQ
+#undef EXPECT_MEMBER_BITS
 
 TEST(SpecRoundTrip, DefaultSpecSurvivesBothFormats) {
   const ScenarioSpec spec;

@@ -39,71 +39,68 @@ telemetry::Snapshot snap_with(
 
 TEST(Policies, ArenaTunerStormsAndDecays) {
   ControlConfig cfg;
-  ArenaTunerPolicy tuner(cfg);
   ShardControls c;
 
   // Storm: retention jumps to the base, then doubles, capped at retain_max.
-  tuner.observe(0, snap_with(0, {{Counter::kEvicts, cfg.evict_storm}}), c);
+  tune_arena(cfg, snap_with(0, {{Counter::kEvicts, cfg.evict_storm}}), c);
   EXPECT_EQ(c.arena_retain, 2 * cfg.retain_base);
   for (int i = 0; i < 10; ++i)
-    tuner.observe(1 + i, snap_with(1 + i, {{Counter::kEvicts, cfg.evict_storm}}), c);
+    tune_arena(cfg, snap_with(1 + i, {{Counter::kEvicts, cfg.evict_storm}}), c);
   EXPECT_EQ(c.arena_retain, cfg.retain_max);
 
   // Idle windows decay retention back toward the base, never below it.
-  for (int i = 0; i < 10; ++i) tuner.observe(20 + i, snap_with(20 + i, {}), c);
+  for (int i = 0; i < 10; ++i) tune_arena(cfg, snap_with(20 + i, {}), c);
   EXPECT_EQ(c.arena_retain, cfg.retain_base);
 }
 
 TEST(Policies, ArenaTunerPicksPolicyFromMixDrift) {
   ControlConfig cfg;
-  ArenaTunerPolicy tuner(cfg);
   ShardControls c;
 
   // Balanced mix (mean admit size == mean evict size): LFU.
-  tuner.observe(0,
-                snap_with(0, {{Counter::kAdmits, 4},
-                              {Counter::kEvicts, 4},
-                              {Counter::kAdmitDevices, 20},
-                              {Counter::kEvictDevices, 20}}),
-                c);
+  tune_arena(cfg,
+             snap_with(0, {{Counter::kAdmits, 4},
+                           {Counter::kEvicts, 4},
+                           {Counter::kAdmitDevices, 20},
+                           {Counter::kEvictDevices, 20}}),
+             c);
   EXPECT_EQ(c.cache_policy, CachePolicy::kLfu);
 
   // Drifting mix (admitted groups much larger than evicted): cost-aware.
-  tuner.observe(1,
-                snap_with(1, {{Counter::kAdmits, 4},
-                              {Counter::kEvicts, 4},
-                              {Counter::kAdmitDevices, 40},
-                              {Counter::kEvictDevices, 20}}),
-                c);
+  tune_arena(cfg,
+             snap_with(1, {{Counter::kAdmits, 4},
+                           {Counter::kEvicts, 4},
+                           {Counter::kAdmitDevices, 40},
+                           {Counter::kEvictDevices, 20}}),
+             c);
   EXPECT_EQ(c.cache_policy, CachePolicy::kCostAware);
 }
 
 TEST(Policies, SolverTunerScalesWithIterationPressure) {
   ControlConfig cfg;
-  SolverTunerPolicy tuner(cfg);
   ShardControls c;
 
-  tuner.observe(0,
-                snap_with(0, {{Counter::kRounds, 10},
-                              {Counter::kSolverIterations,
-                               10 * (cfg.solver_iters_high + 1)}}),
-                c);
+  tune_solver(cfg,
+              snap_with(0, {{Counter::kRounds, 10},
+                            {Counter::kSolverIterations,
+                             10 * (cfg.solver_iters_high + 1)}}),
+              c);
   EXPECT_EQ(c.search_threads, 2u);
   // Pressure stays high: doubles to the cap, never past it.
   for (int i = 0; i < 8; ++i)
-    tuner.observe(1 + i,
-                  snap_with(1 + i, {{Counter::kRounds, 10},
-                                    {Counter::kSolverIterations,
-                                     10 * (cfg.solver_iters_high + 1)}}),
-                  c);
+    tune_solver(cfg,
+                snap_with(1 + i, {{Counter::kRounds, 10},
+                                  {Counter::kSolverIterations,
+                                   10 * (cfg.solver_iters_high + 1)}}),
+                c);
   EXPECT_EQ(c.search_threads, cfg.max_search_threads);
   // Low pressure halves back down to 1.
   for (int i = 0; i < 8; ++i)
-    tuner.observe(20 + i, snap_with(20 + i, {{Counter::kRounds, 10}}), c);
+    tune_solver(cfg, snap_with(20 + i, {{Counter::kRounds, 10}}), c);
   EXPECT_EQ(c.search_threads, 1u);
   // No rounds at all: no change.
   c.search_threads = 4;
-  tuner.observe(40, snap_with(40, {}), c);
+  tune_solver(cfg, snap_with(40, {}), c);
   EXPECT_EQ(c.search_threads, 4u);
 }
 
@@ -113,30 +110,28 @@ TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   base.shaper_rate = 4.0;
   base.shaper_burst = 8.0;
   base.shaper_max_defers = 8;
-  ShaperTunerPolicy tuner(cfg, base);
   ShardControls c = base;
 
   // Sheds while workers kept up: the bucket is the bottleneck.
-  tuner.observe(0,
-                snap_with(0, {{Counter::kIngestShed, 5},
-                              {Counter::kIngestAdmitted, 10},
-                              {Counter::kRounds, 10}}),
-                c);
+  tune_shaper(cfg, base,
+              snap_with(0, {{Counter::kIngestShed, 5},
+                            {Counter::kIngestAdmitted, 10},
+                            {Counter::kRounds, 10}}),
+              c);
   EXPECT_DOUBLE_EQ(c.shaper_rate, 4.0 * cfg.rate_step);
   EXPECT_DOUBLE_EQ(c.shaper_burst, 10.0);
   EXPECT_EQ(c.shaper_max_defers, 10u);
 
   // Quiet windows step back to (never past) the baseline.
-  for (int i = 0; i < 16; ++i) tuner.observe(1 + i, snap_with(1 + i, {}), c);
+  for (int i = 0; i < 16; ++i) tune_shaper(cfg, base, snap_with(1 + i, {}), c);
   EXPECT_DOUBLE_EQ(c.shaper_rate, base.shaper_rate);
   EXPECT_DOUBLE_EQ(c.shaper_burst, base.shaper_burst);
   EXPECT_EQ(c.shaper_max_defers, base.shaper_max_defers);
 
   // Disabled baseline: inert no matter the counters.
   ShardControls off;
-  ShaperTunerPolicy inert(cfg, off);
   ShardControls c2 = off;
-  inert.observe(0, snap_with(0, {{Counter::kIngestShed, 100}}), c2);
+  tune_shaper(cfg, off, snap_with(0, {{Counter::kIngestShed, 100}}), c2);
   EXPECT_TRUE(bit_equal(c2, off));
 }
 

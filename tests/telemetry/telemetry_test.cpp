@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "config/json.hpp"
@@ -197,6 +198,14 @@ TEST(CounterPlane, ServeSnapshotsBitIdenticalAcrossWorkerCounts) {
   // Every executed round was an admitted measurement frame.
   EXPECT_EQ(one.totals[static_cast<std::size_t>(Counter::kRounds)], admitted);
   EXPECT_GT(shed + one.totals[static_cast<std::size_t>(Counter::kIngestDeferred)], 0u);
+  // Timing plane: one queue-residency span per executed round (shed and
+  // coasted frames have none), like each pipeline stage, and one ingest span
+  // per received frame.
+  const std::uint64_t rounds = four.totals[static_cast<std::size_t>(Counter::kRounds)];
+  for (const TraceOp op : {TraceOp::kQueue, TraceOp::kPredict, TraceOp::kLocalize,
+                           TraceOp::kTrack, TraceOp::kRound})
+    EXPECT_EQ(four.spans[static_cast<std::size_t>(op)].count(), rounds) << to_string(op);
+  EXPECT_GT(four.spans[static_cast<std::size_t>(TraceOp::kIngest)].count(), rounds);
 }
 
 TEST(CounterPlane, UnshapedServeMatchesFleetSharedCounters) {
@@ -232,7 +241,7 @@ TEST(CounterPlane, DisabledTimingKeepsCountersAndSkipsSpans) {
 
   EXPECT_GT(rep.totals[static_cast<std::size_t>(Counter::kRounds)], 0u);
   for (std::size_t s = 0; s < kStageCount; ++s)
-    EXPECT_EQ(rep.spans[s].count(), 0u) << to_string(static_cast<Stage>(s));
+    EXPECT_EQ(rep.spans[s].count(), 0u) << to_string(static_cast<TraceOp>(s));
   for (std::size_t s = 0; s < kSampleCount; ++s)
     EXPECT_EQ(rep.samples[s].count(), 0u) << to_string(static_cast<Sample>(s));
   EXPECT_TRUE(rep.counters_equal(fleet_report(workload, 3)));
@@ -287,8 +296,14 @@ TEST(TimingPlane, HistogramsCoverEveryRoundOfALongRun) {
 
   const std::uint64_t rounds = rep.totals[static_cast<std::size_t>(Counter::kRounds)];
   ASSERT_GT(rounds, 5000u);
-  EXPECT_EQ(rep.spans[static_cast<std::size_t>(Stage::kRound)].count(), rounds);
-  EXPECT_EQ(rep.spans[static_cast<std::size_t>(Stage::kLocalize)].count(), rounds);
+  // One span per stage per round: the tracker's predict and update are
+  // separate stages, and the round span is the round's own.
+  for (const TraceOp op : {TraceOp::kPredict, TraceOp::kQuantize, TraceOp::kRanging,
+                           TraceOp::kLocalize, TraceOp::kTrack, TraceOp::kRound})
+    EXPECT_EQ(rep.spans[static_cast<std::size_t>(op)].count(), rounds) << to_string(op);
+  // Fleet mode has no ingest loop or dispatch queue.
+  EXPECT_EQ(rep.spans[static_cast<std::size_t>(TraceOp::kIngest)].count(), 0u);
+  EXPECT_EQ(rep.spans[static_cast<std::size_t>(TraceOp::kQueue)].count(), 0u);
   EXPECT_EQ(rep.samples[static_cast<std::size_t>(Sample::kArenaFreeHit)].count() +
                 rep.samples[static_cast<std::size_t>(Sample::kArenaFreeMiss)].count(),
             rep.totals[static_cast<std::size_t>(Counter::kArenaLeases)]);
@@ -339,20 +354,19 @@ TEST(TracePlane, FleetStructureDigestInvariantAcrossShardCounts) {
   EXPECT_EQ(one.trace.size(), four.trace.size());
   EXPECT_EQ(trace_structure_digest(one.trace), trace_structure_digest(four.trace));
 
-  // Every executed round has a root span and stage children parented to it.
-  std::set<TraceOp> ops;
+  // Every executed round has a root span and every pipeline stage under it.
+  std::set<std::pair<std::uint64_t, TraceOp>> spans;
   for (const TraceSpan& s : one.trace) {
-    ops.insert(s.op);
-    if (s.op == TraceOp::kRound) {
-      EXPECT_EQ(s.parent, TraceOp::kNone);
-    }
-    if (s.op == TraceOp::kLocalize) {
-      EXPECT_EQ(s.parent, TraceOp::kRound);
-    }
     EXPECT_NE(s.trace_id, 0u);
+    EXPECT_TRUE(spans.insert({s.trace_id, s.op}).second) << "duplicate span";
   }
-  EXPECT_TRUE(ops.count(TraceOp::kRound));
-  EXPECT_TRUE(ops.count(TraceOp::kLocalize));
+  for (const TraceSpan& s : one.trace) {
+    EXPECT_NE(s.op, TraceOp::kIngest);
+    EXPECT_NE(s.op, TraceOp::kQueue);
+    for (const TraceOp op : {TraceOp::kRound, TraceOp::kPredict, TraceOp::kQuantize,
+                             TraceOp::kRanging, TraceOp::kLocalize, TraceOp::kTrack})
+      EXPECT_TRUE(spans.count({s.trace_id, op})) << to_string(op);
+  }
 
   // Trace ids cover exactly the executed rounds: one id per (session, round
   // index) for every round the (untraced) run reports, and nothing else.
@@ -399,23 +413,25 @@ TEST(TracePlane, ServeChainsIngestQueueRoundAndDigestIsWorkerInvariant) {
   ASSERT_FALSE(one.trace.empty());
   EXPECT_EQ(trace_structure_digest(one.trace), trace_structure_digest(four.trace));
 
-  // Every admitted round's trace must chain ingest -> queue -> round with
-  // the declared parent links, whatever the worker count.
-  std::set<std::uint64_t> ingest, queue, round;
+  // Every admitted round's trace must chain ingest -> queue and root a
+  // round with its stages, whatever the worker count: each span's parent
+  // op is present under the same trace id.
+  EXPECT_EQ(parent_of(TraceOp::kQueue), TraceOp::kIngest);
+  EXPECT_EQ(parent_of(TraceOp::kPredict), TraceOp::kRound);
+  std::set<std::pair<std::uint64_t, TraceOp>> spans;
+  std::set<std::uint64_t> queue, round;
   for (const TraceSpan& s : four.trace) {
-    if (s.op == TraceOp::kIngest) {
-      EXPECT_EQ(s.parent, TraceOp::kNone);
-      ingest.insert(s.trace_id);
-    } else if (s.op == TraceOp::kQueue) {
-      EXPECT_EQ(s.parent, TraceOp::kIngest);
-      queue.insert(s.trace_id);
-    } else if (s.op == TraceOp::kRound) {
-      round.insert(s.trace_id);
-    }
+    spans.insert({s.trace_id, s.op});
+    if (s.op == TraceOp::kQueue) queue.insert(s.trace_id);
+    if (s.op == TraceOp::kRound) round.insert(s.trace_id);
   }
   ASSERT_FALSE(queue.empty());
-  for (const std::uint64_t id : queue) EXPECT_TRUE(ingest.count(id)) << id;
-  for (const std::uint64_t id : round) EXPECT_TRUE(queue.count(id)) << id;
+  EXPECT_EQ(queue, round);
+  for (const TraceSpan& s : four.trace) {
+    if (parent_of(s.op) == TraceOp::kNone) continue;
+    EXPECT_TRUE(spans.count({s.trace_id, parent_of(s.op)}))
+        << to_string(s.op) << " " << s.trace_id;
+  }
 }
 
 TEST(TracePlane, SpanCapCountsOverflowInsteadOfGrowing) {

@@ -19,16 +19,20 @@
 //                  fleet/serve only: attach a telemetry::Collector (forcing
 //                  telemetry on even if the spec leaves it disabled) and
 //                  write its report — virtual-time-windowed counters under
-//                  "counters" (bit-identical at any --threads), span/sample
-//                  histograms over every round and flight-recorder dumps
-//                  under "timing"
+//                  "counters" (bit-identical at any --threads); under
+//                  "timing", one span histogram per stage (ingest, queue,
+//                  predict, quantize, ranging, localize, track, and round =
+//                  begin_round -> finish_round), each counting every
+//                  occurrence, plus sample histograms and flight-recorder
+//                  dumps
 //   --slo-out=FILE fleet/serve only: write the SLO scoreboard — the
 //                  deterministic counter/error reducer under "slo"
 //                  (bit-identical at any --threads; CI byte-diffs exactly
 //                  that object), round-latency tails under "timing"
 //   --trace-spans-out=FILE
 //                  fleet/serve only: force-enable causal round tracing and
-//                  write the spans as Chrome trace-event JSON, loadable
+//                  write the spans (the same span records the stage
+//                  histograms come from) as Chrome trace-event JSON, loadable
 //                  as-is in Perfetto / chrome://tracing; span structure is
 //                  deterministic, wall-clock timing is not
 //   --control-log-out=FILE
@@ -176,7 +180,7 @@ Json histogram_to_json(const uwp::telemetry::Histogram& h) {
 
 // Flight-recorder events rendered for post-mortem reading: the id enum is
 // resolved through the family named by `kind`, and the trace id is included
-// only where it means something (kTraceSpan).
+// only where it means something (a traced span).
 Json flight_event_to_json(const uwp::telemetry::Event& e) {
   namespace tel = uwp::telemetry;
   Json o = Json::object();
@@ -187,16 +191,12 @@ Json flight_event_to_json(const uwp::telemetry::Event& e) {
       break;
     case tel::EventKind::kSpan:
       o.set("kind", Json::string("span"));
-      o.set("id", Json::string(tel::to_string(static_cast<tel::Stage>(e.id))));
+      o.set("id", Json::string(tel::to_string(static_cast<tel::TraceOp>(e.id))));
+      if (e.ref != 0) o.set("trace", uwp::config::u64_to_json(e.ref));
       break;
     case tel::EventKind::kSample:
       o.set("kind", Json::string("sample"));
       o.set("id", Json::string(tel::to_string(static_cast<tel::Sample>(e.id))));
-      break;
-    case tel::EventKind::kTraceSpan:
-      o.set("kind", Json::string("trace_span"));
-      o.set("id", Json::string(tel::to_string(static_cast<tel::TraceOp>(e.id))));
-      o.set("trace", uwp::config::u64_to_json(e.ref));
       break;
   }
   o.set("t", uwp::config::double_to_json(e.t));
@@ -232,7 +232,7 @@ Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
 
   Json spans = Json::object();
   for (std::size_t s = 0; s < tel::kStageCount; ++s)
-    spans.set(tel::to_string(static_cast<tel::Stage>(s)),
+    spans.set(tel::to_string(static_cast<tel::TraceOp>(s)),
               histogram_to_json(rep.spans[s]));
   Json samples = Json::object();
   for (std::size_t s = 0; s < tel::kSampleCount; ++s)
